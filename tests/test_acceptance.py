@@ -9,10 +9,12 @@ criterion lines on a passing suite.
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from pencil_forge import catalog as cat
+from pencil_forge import cli
 from pencil_forge import diffgeo as dg
 from pencil_forge import hierarchy as hy
 from pencil_forge import operators as ops
@@ -72,6 +74,18 @@ def test_criterion_1_classification_suite(probed_run):
     _conclude(1, "g1..g9 symmetric, flat, pencil-compatible, Killing and"
                  " cyclic with symbolic parameters, within time limits",
               failures)
+
+
+def test_verify_json_matches_golden(probed_run):
+    """`verify --format json` of every built-in case, byte for byte."""
+    golden = Path(__file__).parent / "golden" / "verify"
+    differing = [
+        name for name, report in probed_run["reports"].items()
+        if cli._dump_json(report.to_dict()) + "\n"
+        != (golden / f"{name}.json").read_text()
+    ]
+    assert sorted(probed_run["reports"]) == sorted(p.stem for p in golden.iterdir())
+    assert not differing, f"reports differ from tests/golden/verify: {differing}"
 
 
 def test_criterion_2_astigmatism_reproduction(probed_run):
