@@ -7,9 +7,13 @@ astigmatism pair, and the three-component potential-flow pair wdvv3.
 Each record stores the context, the metric, the isometry, the tail data,
 and reference tables the computation is compared against (connection
 coefficient matrices, Liouville potential, H potentials, recursion
-operator, expected flows).  verify_case runs the operator validity
-conditions, the pair criterion against the antidiagonal eta, and every
-reference comparison, reporting per-check status without raising.
+operator, expected flows).  Built-in records and case files pass the same
+schema check (validate_case_data) when a CaseRecord is made, and a record
+builds its metric, its operator and its eta once, so their connections
+are computed once per record.  builtin_case and builtin_cases return fresh
+records, so no cache outlives its caller.  verify_case runs the operator
+validity conditions, the pair criterion against the antidiagonal eta, and
+every reference comparison, reporting per-check status without raising.
 
 The functional identities (potential-associativity residual, the
 third-order reduction gamma''' - 6 gamma gamma'' + 9 gamma'^2, the
@@ -27,11 +31,13 @@ from . import hierarchy as hy
 from . import operators as ops
 from . import pencil as pc
 from . import symcore as sc
-from .diffgeo import DegenerateMetricError, Metric, VectorField
+from .diffgeo import DegenerateMetricError, Metric, VectorField, contract, tensor
 from .operators import ConstantOp, NonlocalIsometryOp
 from .symcore import Context, Expr
 
 __all__ = [
+    "CaseFileError",
+    "validate_case_data",
     "CaseRecord",
     "CheckOutcome",
     "VerificationReport",
@@ -51,17 +57,66 @@ __all__ = [
 # Case records
 
 
+class CaseFileError(ValueError):
+    """Case file violates the schema or contains unparseable expressions."""
+
+
+def _schema_error(message: str) -> CaseFileError:
+    return CaseFileError(f"case file schema violation: {message}")
+
+
+def validate_case_data(data) -> None:
+    if not isinstance(data, dict):
+        raise _schema_error("top level must be an object")
+    for key, typ in (("name", str), ("n", int), ("coordinates", list),
+                     ("metric", list), ("isometry", list)):
+        if key not in data:
+            raise _schema_error(f"missing key {key!r}")
+        if not isinstance(data[key], typ):
+            raise _schema_error(f"{key!r} must be a {typ.__name__}")
+    n = data["n"]
+    if n < 1:
+        raise _schema_error("n must be positive")
+    if len(data["coordinates"]) != n:
+        raise _schema_error(f"expected {n} coordinates")
+    if len(data["metric"]) != n or any(
+        not isinstance(row, list) or len(row) != n
+        or any(not isinstance(e, str) for e in row)
+        for row in data["metric"]
+    ):
+        raise _schema_error(f"metric must be an {n}x{n} matrix of strings")
+    if len(data["isometry"]) != n or any(
+        not isinstance(e, str) for e in data["isometry"]
+    ):
+        raise _schema_error(f"isometry must have {n} string components")
+    if any(not isinstance(c, str) for c in data["coordinates"]):
+        raise _schema_error("coordinates must be strings")
+    for p in data.get("parameters", ()):
+        if not isinstance(p, dict) or "name" not in p:
+            raise _schema_error("parameters must be objects with a name")
+    for f in data.get("functions", ()):
+        if not isinstance(f, dict) or "name" not in f or "arg" not in f:
+            raise _schema_error("functions must be objects with name and arg")
+    for key in ("epsilon", "c"):
+        if key in data and not isinstance(data[key], str):
+            raise _schema_error(f"{key!r} must be an expression string")
+    if "references" in data and not isinstance(data["references"], dict):
+        raise _schema_error("references must be an object")
+
+
 class CaseRecord:
-    """One named, parameterized case; wraps the JSON-shaped data dict."""
+    """One named, parameterized case; wraps the JSON-shaped data dict,
+    which must pass validate_case_data."""
 
     def __init__(self, data: dict):
-        for key in ("name", "n", "coordinates", "metric", "isometry"):
-            if key not in data:
-                raise ValueError(f"case record missing {key!r}")
+        validate_case_data(data)
         self.data = data
         self.name = data["name"]
-        self.n = int(data["n"])
+        self.n = data["n"]
         self._ctx: Context | None = None
+        self._metric: Metric | None = None
+        self._operator: NonlocalIsometryOp | None = None
+        self._eta: ConstantOp | None = None
 
     @property
     def description(self) -> str:
@@ -91,10 +146,12 @@ class CaseRecord:
         return self._ctx
 
     def metric(self) -> Metric:
-        ctx = self.context()
-        return Metric(ctx, [
-            [ctx.parse(text) for text in row] for row in self.data["metric"]
-        ])
+        if self._metric is None:
+            ctx = self.context()
+            self._metric = Metric(ctx, [
+                [ctx.parse(text) for text in row] for row in self.data["metric"]
+            ])
+        return self._metric
 
     def isometry(self) -> VectorField:
         ctx = self.context()
@@ -107,12 +164,16 @@ class CaseRecord:
         return self.context().parse(self.data.get("c", "0"))
 
     def operator(self) -> NonlocalIsometryOp:
-        return NonlocalIsometryOp.from_metric(
-            self.metric(), self.isometry(), self.epsilon(), self.c()
-        )
+        if self._operator is None:
+            self._operator = NonlocalIsometryOp.from_metric(
+                self.metric(), self.isometry(), self.epsilon(), self.c()
+            )
+        return self._operator
 
     def eta(self) -> ConstantOp:
-        return ConstantOp.antidiagonal(self.context())
+        if self._eta is None:
+            self._eta = ConstantOp.antidiagonal(self.context())
+        return self._eta
 
     def specialize(self, bindings: dict[str, str], suffix: str = "specialized") -> "CaseRecord":
         """New record with parameter bindings substituted into every
@@ -550,23 +611,16 @@ def _case_data() -> list[dict]:
     ]
 
 
-_BUILTIN: list[CaseRecord] | None = None
-
-
 def builtin_cases() -> list[CaseRecord]:
-    """All built-in cases, ordered by name."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = sorted(
-            (CaseRecord(d) for d in _case_data()), key=lambda c: c.name
-        )
-    return list(_BUILTIN)
+    """Fresh records of all built-in cases, ordered by name."""
+    return sorted((CaseRecord(d) for d in _case_data()), key=lambda c: c.name)
 
 
 def builtin_case(name: str) -> CaseRecord:
-    for case in builtin_cases():
-        if case.name == name:
-            return case
+    """A fresh record of the named built-in case."""
+    for data in _case_data():
+        if data["name"] == name:
+            return CaseRecord(data)
     raise KeyError(f"no builtin case named {name!r}")
 
 
@@ -622,12 +676,8 @@ def _bind_operator(case: CaseRecord, binds: dict[str, str] | None) -> NonlocalIs
     def s(e: Expr) -> Expr:
         return sc.substitute(e, subs)
 
-    n = op.n
-    metric = Metric(ctx, [[s(op.metric.entries[i][j]) for j in range(n)] for i in range(n)])
-    gamma = tuple(
-        tuple(tuple(s(op.gamma[i][j][k]) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    metric = Metric(ctx, tensor(op.n, 2, lambda i, j: s(op.metric.entries[i][j])))
+    gamma = tensor(op.n, 3, lambda i, j, k: s(op.gamma[i][j][k]))
     iso = VectorField(tuple(s(c) for c in op.isometry.components))
     return NonlocalIsometryOp(metric, gamma, s(op.c), s(op.epsilon), iso)
 
@@ -791,11 +841,9 @@ def verify_case(case: CaseRecord) -> VerificationReport:
         outcomes.append(CheckOutcome(name, status, witness, time.perf_counter() - start))
         return status == "pass"
 
-    holder = {}
-
     def well_formed():
-        holder["metric"] = case.metric()
-        holder["isometry"] = case.isometry()
+        case.metric()
+        case.isometry()
         case.epsilon()
         case.c()
         return True, None
@@ -804,18 +852,16 @@ def verify_case(case: CaseRecord) -> VerificationReport:
         return VerificationReport(case.name, tuple(outcomes))
 
     def nondegenerate():
-        if holder["metric"].is_degenerate():
+        if case.metric().is_degenerate():
             raise DegenerateMetricError(
-                f"det(g) = {holder['metric'].det} vanishes identically"
+                f"det(g) = {case.metric().det} vanishes identically"
             )
         return True, None
 
     if not run("nondegenerate", nondegenerate):
         return VerificationReport(case.name, tuple(outcomes))
 
-    op = NonlocalIsometryOp.from_metric(
-        holder["metric"], holder["isometry"], case.epsilon(), case.c()
-    )
+    op = case.operator()
 
     def lift(report_getter):
         start = time.perf_counter()
@@ -903,21 +949,19 @@ _ZJETS = (
 )
 
 
+# the variables a z-derivative acts on, and their t- and x-derivatives
+_ZVARS = ("x", "z_t", "z_x", "z_tt", "z_tx", "z_xx")
+_ZIMAGES = {
+    True: ("0", "z_tt", "z_tx", "z_ttt", "z_ttx", "z_txx"),
+    False: ("1", "z_tx", "z_xx", "z_ttx", "z_txx", "z_xxx"),
+}
+
+
 def _z_derivative(ctx: Context, e: Expr, timewise: bool) -> Expr:
-    if timewise:
-        table = {
-            "x": "0", "z_t": "z_tt", "z_x": "z_tx",
-            "z_tt": "z_ttt", "z_tx": "z_ttx", "z_xx": "z_txx",
-        }
-    else:
-        table = {
-            "x": "1", "z_t": "z_tx", "z_x": "z_xx",
-            "z_tt": "z_ttx", "z_tx": "z_txx", "z_xx": "z_xxx",
-        }
-    total = ctx.number(0)
-    for name, image in table.items():
-        total = total + sc.diff(e, name) * ctx.parse(image)
-    return total.normalized()
+    images = _ZIMAGES[timewise]
+    return contract(
+        ctx, len(_ZVARS), lambda a: sc.diff(e, _ZVARS[a]) * ctx.parse(images[a])
+    ).normalized()
 
 
 def elimination_residual(flow: hy.QuasilinearFlow | None = None) -> Expr:
@@ -997,9 +1041,5 @@ def degenerate_split_check(case: CaseRecord | None = None) -> bool:
         case = builtin_case("wdvv3")
     g = case.metric()
     eta = case.eta()
-    n = case.n
-    gt = [
-        [g.entries[i][j] - eta.entries[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+    gt = tensor(case.n, 2, lambda i, j: g.entries[i][j] - eta.entries[i][j])
     return sc.is_zero(dg.mat_det(gt))

@@ -21,56 +21,9 @@ import sys
 from . import catalog as cat
 from . import hierarchy as hy
 from . import symcore as sc
-from .catalog import CaseRecord, VerificationReport
+from .catalog import CaseFileError, CaseRecord, VerificationReport, validate_case_data
 
-__all__ = ["main", "CaseFileError", "load_case_file"]
-
-
-class CaseFileError(ValueError):
-    """Case file violates the schema or contains unparseable expressions."""
-
-
-def _schema_error(message: str) -> CaseFileError:
-    return CaseFileError(f"case file schema violation: {message}")
-
-
-def validate_case_data(data) -> None:
-    if not isinstance(data, dict):
-        raise _schema_error("top level must be an object")
-    for key, typ in (("name", str), ("n", int), ("coordinates", list),
-                     ("metric", list), ("isometry", list)):
-        if key not in data:
-            raise _schema_error(f"missing key {key!r}")
-        if not isinstance(data[key], typ):
-            raise _schema_error(f"{key!r} must be a {typ.__name__}")
-    n = data["n"]
-    if n < 1:
-        raise _schema_error("n must be positive")
-    if len(data["coordinates"]) != n:
-        raise _schema_error(f"expected {n} coordinates")
-    if len(data["metric"]) != n or any(
-        not isinstance(row, list) or len(row) != n
-        or any(not isinstance(e, str) for e in row)
-        for row in data["metric"]
-    ):
-        raise _schema_error(f"metric must be an {n}x{n} matrix of strings")
-    if len(data["isometry"]) != n or any(
-        not isinstance(e, str) for e in data["isometry"]
-    ):
-        raise _schema_error(f"isometry must have {n} string components")
-    if any(not isinstance(c, str) for c in data["coordinates"]):
-        raise _schema_error("coordinates must be strings")
-    for p in data.get("parameters", ()):
-        if not isinstance(p, dict) or "name" not in p:
-            raise _schema_error("parameters must be objects with a name")
-    for f in data.get("functions", ()):
-        if not isinstance(f, dict) or "name" not in f or "arg" not in f:
-            raise _schema_error("functions must be objects with name and arg")
-    for key in ("epsilon", "c"):
-        if key in data and not isinstance(data[key], str):
-            raise _schema_error(f"{key!r} must be an expression string")
-    if "references" in data and not isinstance(data["references"], dict):
-        raise _schema_error("references must be an object")
+__all__ = ["main", "CaseFileError", "load_case_file", "validate_case_data"]
 
 
 def load_case_file(path: str) -> CaseRecord:
@@ -82,7 +35,6 @@ def load_case_file(path: str) -> CaseRecord:
         raise CaseFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CaseFileError(f"invalid JSON in {path}: {exc}") from exc
-    validate_case_data(data)
     case = CaseRecord(data)
     try:
         ctx = case.context()

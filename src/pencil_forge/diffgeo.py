@@ -12,12 +12,18 @@ Conventions (all indices 1-based in the docs, 0-based in code):
 
 Matrix inversion is by exact adjugate over determinant; all results are
 normalized kernel expressions.
+
+Every index contraction in the package goes through contract (a sum of
+terms over one index, added left to right onto zero), and every tensor
+table is built by tensor (an n x ... x n nested tuple from an index
+function).  Neither normalizes: callers normalize where a value is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from . import symcore as sc
 from .symcore import Context, Expr
@@ -36,6 +42,8 @@ __all__ = [
     "cyclic_check",
     "mat_det",
     "mat_inverse",
+    "contract",
+    "tensor",
 ]
 
 
@@ -46,8 +54,27 @@ class DegenerateMetricError(ValueError):
 ExprMatrix = tuple[tuple[Expr, ...], ...]
 
 
-def _freeze(rows: Sequence[Sequence[Expr]]) -> ExprMatrix:
-    return tuple(tuple(row) for row in rows)
+def contract(ctx: Context, n: int, term: Callable[[int], Expr]) -> Expr:
+    """term(0) + ... + term(n-1), added left to right onto ctx.number(0)."""
+    return sum((term(s) for s in range(n)), ctx.number(0))
+
+
+def tensor(n: int, rank: int, entry: Callable[..., Expr]) -> tuple:
+    """The rank-fold nested n x ... x n tuple with entry(i, j, ...) at
+    [i][j]...; entries are built in lexicographic index order."""
+    if rank == 1:
+        return tuple(entry(i) for i in range(n))
+    return tuple(tensor(n, rank - 1, partial(entry, i)) for i in range(n))
+
+
+def _cofactor(rows: Sequence[Sequence[Expr]], i: int, j: int, scale: Expr | None = None) -> Expr:
+    """(-1)^(i+j) (scale *) det of rows without row i and column j."""
+    n = len(rows)
+    minor = mat_det([
+        [rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i
+    ])
+    term = minor if scale is None else scale * minor
+    return -term if (i + j) % 2 else term
 
 
 def mat_det(rows: Sequence[Sequence[Expr]]) -> Expr:
@@ -55,16 +82,7 @@ def mat_det(rows: Sequence[Sequence[Expr]]) -> Expr:
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [
-            [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
-        ]
-        term = rows[0][j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return contract(rows[0][0].ctx, n, lambda j: _cofactor(rows, 0, j, rows[0][j]))
 
 
 def mat_inverse(rows: Sequence[Sequence[Expr]], det: Expr | None = None) -> ExprMatrix:
@@ -76,22 +94,8 @@ def mat_inverse(rows: Sequence[Sequence[Expr]], det: Expr | None = None) -> Expr
     if sc.is_zero(det):
         raise DegenerateMetricError("determinant vanishes identically")
     if n == 1:
-        one = rows[0][0].ctx.number(1)
-        return ((one / det,),)
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = mat_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            out_row.append(cof / det)
-        out.append(out_row)
-    return _freeze(out)
+        return ((rows[0][0].ctx.number(1) / det,),)
+    return tensor(n, 2, lambda i, j: _cofactor(rows, j, i) / det)
 
 
 class Metric:
@@ -103,7 +107,7 @@ class Metric:
 
     def __init__(self, ctx: Context, entries: Sequence[Sequence[Expr]]):
         self.ctx = ctx
-        self.entries = _freeze(entries)
+        self.entries = tuple(tuple(row) for row in entries)
         self.n = len(self.entries)
         if any(len(row) != self.n for row in self.entries):
             raise ValueError("metric entries must form a square matrix")
@@ -171,37 +175,41 @@ class CurvatureTensor:
     def n(self) -> int:
         return len(self.mixed)
 
+    def raised_component(self, g: "Metric", i: int, j: int, k: int, l: int) -> Expr:
+        """g^{is} R^j_{skl}, unnormalized, for any contravariant metric g."""
+        return contract(self.ctx, self.n, lambda s: g.entries[i][s] * self.mixed[j][s][k][l])
+
     @property
     def raised(self) -> tuple:
         if self._raised is None:
-            n = self.n
-            g = self.metric
-            zero = self.ctx.number(0)
-            out = []
-            for i in range(n):
-                cube = []
-                for j in range(n):
-                    plane = [[zero] * n for _ in range(n)]
-                    for k in range(n):
-                        for l in range(k + 1, n):
-                            total = self.ctx.number(0)
-                            for s in range(n):
-                                total = total + g.entries[i][s] * self.mixed[j][s][k][l]
-                            total = total.normalized()
-                            plane[k][l] = total
-                            plane[l][k] = (-total).normalized()
-                    cube.append(tuple(tuple(row) for row in plane))
-                out.append(tuple(cube))
-            self._raised = tuple(out)
+            self._raised = _skew_tensor(
+                self.ctx, self.n,
+                lambda i, j, k, l: self.raised_component(self.metric, i, j, k, l),
+            )
         return self._raised
 
-    def is_zero(self) -> bool:
+    def first_nonzero(self) -> tuple[int, int, int, int, Expr] | None:
+        """(i, j, k, l, R^i_{jkl}) for the first nonzero mixed component
+        with k < l, in lexicographic order; None when the metric is flat."""
         n = self.n
-        return all(
-            sc.is_zero(self.mixed[i][j][k][l])
-            for i in range(n) for j in range(n)
-            for k in range(n) for l in range(k + 1, n)
-        )
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(k + 1, n):
+                        if not sc.is_zero(self.mixed[i][j][k][l]):
+                            return i, j, k, l, self.mixed[i][j][k][l]
+        return None
+
+
+def _skew_tensor(ctx: Context, n: int, component: Callable[..., Expr]) -> tuple:
+    """T[i][j][k][l] antisymmetric in (k, l): component(i, j, k, l)
+    normalized for k < l, its normalized negative for k > l, zero on k = l."""
+    upper = tensor(n, 4, lambda i, j, k, l: component(i, j, k, l).normalized() if k < l else None)
+    return tensor(n, 4, lambda i, j, k, l: (
+        upper[i][j][k][l] if k < l
+        else (-upper[i][j][l][k]).normalized() if k > l
+        else ctx.number(0)
+    ))
 
 
 @dataclass(frozen=True)
@@ -216,10 +224,6 @@ class VectorField:
         return self.components[i]
 
 
-def _field_syms(ctx: Context):
-    return [ctx.var(name) for name in ctx.fields]
-
-
 def levi_civita(g: Metric) -> Connection:
     """Levi-Civita connection of the metric, lowered and raised forms."""
     if g._connection is not None:
@@ -230,39 +234,15 @@ def levi_civita(g: Metric) -> Connection:
     ctx = g.ctx
     cov = g.covariant
     fields = ctx.fields
-    d_cov = [
-        [[sc.diff(cov[i][j], fields[k]) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    lower = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                total = ctx.number(0)
-                for s in range(n):
-                    total = total + g.entries[i][s] * (
-                        d_cov[s][k][j] + d_cov[s][j][k] - d_cov[j][k][s]
-                    )
-                row.append((total / 2).normalized())
-            plane.append(tuple(row))
-        lower.append(tuple(plane))
-    raised = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                total = ctx.number(0)
-                for s in range(n):
-                    total = total - g.entries[i][s] * lower[j][s][k]
-                row.append(total.normalized())
-            plane.append(tuple(row))
-        raised.append(tuple(plane))
-    conn = Connection(ctx, tuple(lower), tuple(raised))
-    g._connection = conn
-    return conn
+    d_cov = tensor(n, 3, lambda i, j, k: sc.diff(cov[i][j], fields[k]))
+    lower = tensor(n, 3, lambda i, j, k: (contract(ctx, n, lambda s: g.entries[i][s] * (
+        d_cov[s][k][j] + d_cov[s][j][k] - d_cov[j][k][s]
+    )) / 2).normalized())
+    raised = tensor(n, 3, lambda i, j, k: contract(
+        ctx, n, lambda s: -(g.entries[i][s] * lower[j][s][k])
+    ).normalized())
+    g._connection = Connection(ctx, lower, raised)
+    return g._connection
 
 
 def riemann(g: Metric) -> CurvatureTensor:
@@ -270,11 +250,10 @@ def riemann(g: Metric) -> CurvatureTensor:
     computed, the rest follow by antisymmetry."""
     if g._curvature is not None:
         return g._curvature
-    conn = levi_civita(g)
+    gamma = levi_civita(g).lower
     n = g.n
     ctx = g.ctx
     fields = ctx.fields
-    gamma = conn.lower
     d_cache: dict[tuple[int, int, int, int], Expr] = {}
 
     def d_gamma(i: int, j: int, k: int, m: int) -> Expr:
@@ -283,30 +262,17 @@ def riemann(g: Metric) -> CurvatureTensor:
             d_cache[key] = sc.diff(gamma[i][j][k], fields[m])
         return d_cache[key]
 
-    zero = ctx.number(0)
-    mixed = []
-    for i in range(n):
-        cube = []
-        for j in range(n):
-            plane = [[zero] * n for _ in range(n)]
-            for k in range(n):
-                for l in range(k + 1, n):
-                    total = d_gamma(i, l, j, k) - d_gamma(i, k, j, l)
-                    for s in range(n):
-                        total = total + gamma[i][k][s] * gamma[s][l][j]
-                        total = total - gamma[i][l][s] * gamma[s][k][j]
-                    total = total.normalized()
-                    plane[k][l] = total
-                    plane[l][k] = (-total).normalized()
-            cube.append(tuple(tuple(row) for row in plane))
-        mixed.append(tuple(cube))
-    curv = CurvatureTensor(g, tuple(mixed))
-    g._curvature = curv
-    return curv
+    def component(i: int, j: int, k: int, l: int) -> Expr:
+        return d_gamma(i, l, j, k) - d_gamma(i, k, j, l) + contract(ctx, n, lambda s: (
+            gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
+        ))
+
+    g._curvature = CurvatureTensor(g, _skew_tensor(ctx, n, component))
+    return g._curvature
 
 
 def is_flat(g: Metric) -> bool:
-    return riemann(g).is_zero()
+    return riemann(g).first_nonzero() is None
 
 
 def constant_curvature(g: Metric) -> Expr | None:
@@ -328,11 +294,7 @@ def constant_curvature(g: Metric) -> Expr | None:
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    template = ctx.number(0)
-                    if i == l and j == k:
-                        template = template + c
-                    if i == k and j == l:
-                        template = template - c
+                    template = c * ((i == l and j == k) - (i == k and j == l))
                     if not sc.is_zero(curv.raised[i][j][k][l] - template):
                         return None
     return c.normalized()
@@ -342,15 +304,14 @@ def killing_defect(g: Metric, f: VectorField) -> tuple[int, int, Expr] | None:
     """First nonzero component of the Lie derivative of the contravariant
     metric along f: f^k d_k g^{ij} - g^{kj} d_k f^i - g^{ik} d_k f^j."""
     n = g.n
-    ctx = g.ctx
-    fields = ctx.fields
+    fields = g.ctx.fields
     for i in range(n):
         for j in range(i, n):
-            total = ctx.number(0)
-            for k in range(n):
-                total = total + f[k] * sc.diff(g.entries[i][j], fields[k])
-                total = total - g.entries[k][j] * sc.diff(f[i], fields[k])
-                total = total - g.entries[i][k] * sc.diff(f[j], fields[k])
+            total = contract(g.ctx, n, lambda k: (
+                f[k] * sc.diff(g.entries[i][j], fields[k])
+                - g.entries[k][j] * sc.diff(f[i], fields[k])
+                - g.entries[i][k] * sc.diff(f[j], fields[k])
+            ))
             if not sc.is_zero(total):
                 return i, j, total.normalized()
     return None
@@ -367,28 +328,13 @@ def cyclic_defect(g: Metric, f: VectorField) -> tuple[int, int, int, Expr] | Non
     grad_s f^k = d_s f^k + Gamma^k_{sm} f^m."""
     n = g.n
     ctx = g.ctx
-    fields = ctx.fields
     conn = levi_civita(g)
-    nabla_lower = [
-        [
-            sum(
-                (conn.lower[k][s][m] * f[m] for m in range(n)),
-                sc.diff(f[k], fields[s]),
-            )
-            for k in range(n)
-        ]
-        for s in range(n)
-    ]
-    nabla_upper = [
-        [
-            sum(
-                (g.entries[i][s] * nabla_lower[s][k] for s in range(n)),
-                ctx.number(0),
-            )
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
+    nabla_lower = tensor(n, 2, lambda s, k: sc.diff(f[k], ctx.fields[s]) + contract(
+        ctx, n, lambda m: conn.lower[k][s][m] * f[m]
+    ))
+    nabla_upper = tensor(n, 2, lambda i, k: contract(
+        ctx, n, lambda s: g.entries[i][s] * nabla_lower[s][k]
+    ))
     for i in range(n):
         for j in range(n):
             for k in range(n):

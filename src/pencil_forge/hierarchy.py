@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import symcore as sc
-from .operators import ConstantOp, NonlocalIsometryOp
+from .diffgeo import contract, tensor
+from .operators import ConstantOp, NonlocalIsometryOp, poincare_potential
 from .symcore import Context, Expr
 
 __all__ = [
@@ -59,6 +60,11 @@ def _require_jet_free(ctx: Context, e: Expr, what: str):
     used = e.free_names() & jets
     if used:
         raise ValueError(f"jet variables not allowed in {what}: {sorted(used)}")
+
+
+def _jet_sum(ctx: Context, coeff) -> Expr:
+    """sum_m coeff(m) u^m_x."""
+    return contract(ctx, ctx.n, lambda m: coeff(m) * Expr(ctx, ctx.jet1_syms[m]))
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,7 @@ class QuasilinearFlow:
 
     def component(self, i: int) -> Expr:
         """The right-hand side of u^i_t as an expression in (x, u, u_x)."""
-        ctx = self.ctx
-        total = self.sigma[i]
-        for j, jet in enumerate(ctx.jet1_syms):
-            total = total + self.V[i][j] * Expr(ctx, jet)
-        return total
+        return self.sigma[i] + _jet_sum(self.ctx, lambda j: self.V[i][j])
 
     def equal(self, other: "QuasilinearFlow", sign: int = 1) -> bool:
         if self.n != other.n:
@@ -176,72 +178,35 @@ def apply_operator(B: NonlocalIsometryOp, psi: Covector) -> QuasilinearFlow:
         raise ValueError("apply_operator requires c = 0")
     if psi.n != n:
         raise ValueError("covector length mismatch")
-    kernel = ctx.number(0)
-    for j in range(n):
-        kernel = kernel + B.isometry[j] * psi.components[j]
-    kernel = kernel.normalized()
+    kernel = contract(ctx, n, lambda j: B.isometry[j] * psi.components[j]).normalized()
     for f in ctx.fields:
         if kernel.depends_on(f):
             raise NonlocalUnresolvedError(
                 f"nonlocal kernel f^j psi_j = {kernel} depends on {f}"
             )
     tail_primitive = sc.antiderivative(kernel, ctx.independents[0])
-    V = []
-    sigma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            total = ctx.number(0)
-            for s in range(n):
-                total = total + B.metric.entries[i][s] * sc.diff(
-                    psi.components[s], ctx.fields[j]
-                )
-                total = total + B.gamma[i][s][j] * psi.components[s]
-            row.append(total.normalized())
-        V.append(tuple(row))
-        src = ctx.number(0)
-        for s in range(n):
-            src = src + B.metric.entries[i][s] * sc.diff(
-                psi.components[s], ctx.independents[0]
-            )
-        src = src + B.epsilon * B.isometry[i] * tail_primitive
-        sigma.append(src.normalized())
-    return QuasilinearFlow(tuple(V), tuple(sigma))
+    g, p = B.metric.entries, psi.components
+    V = tensor(n, 2, lambda i, j: contract(ctx, n, lambda s: (
+        g[i][s] * sc.diff(p[s], ctx.fields[j]) + B.gamma[i][s][j] * p[s]
+    )).normalized())
+    sigma = tensor(n, 1, lambda i: (contract(
+        ctx, n, lambda s: g[i][s] * sc.diff(p[s], ctx.independents[0])
+    ) + B.epsilon * B.isometry[i] * tail_primitive).normalized())
+    return QuasilinearFlow(V, sigma)
 
 
 def flow_from_density(A: ConstantOp, h: Density) -> QuasilinearFlow:
     """u^i_t = eta^{ij} D_x(dh/du^j) expanded into velocity and source."""
     ctx = A.ctx
     n = A.n
-    psi = variational_gradient(h)
-    V = []
-    sigma = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            total = ctx.number(0)
-            for j in range(n):
-                total = total + A.entries[i][j] * sc.diff(
-                    psi.components[j], ctx.fields[k]
-                )
-            row.append(total.normalized())
-        V.append(tuple(row))
-        src = ctx.number(0)
-        for j in range(n):
-            src = src + A.entries[i][j] * sc.diff(
-                psi.components[j], ctx.independents[0]
-            )
-        sigma.append(src.normalized())
-    return QuasilinearFlow(tuple(V), tuple(sigma))
-
-
-def _potential(ctx: Context, coords: tuple[str, ...], comps: list[Expr]) -> Expr:
-    """phi with d(phi)/d(coords[j]) = comps[j]; closedness assumed."""
-    total = ctx.number(0)
-    for j, name in enumerate(coords):
-        remainder = comps[j] - sc.diff(total, name)
-        total = total + sc.antiderivative(remainder, name)
-    return total.normalized()
+    psi = variational_gradient(h).components
+    V = tensor(n, 2, lambda i, k: contract(
+        ctx, n, lambda j: A.entries[i][j] * sc.diff(psi[j], ctx.fields[k])
+    ).normalized())
+    sigma = tensor(n, 1, lambda i: contract(
+        ctx, n, lambda j: A.entries[i][j] * sc.diff(psi[j], ctx.independents[0])
+    ).normalized())
+    return QuasilinearFlow(V, sigma)
 
 
 def _invert_total_x(flow: QuasilinearFlow, i: int) -> Expr:
@@ -259,7 +224,7 @@ def _invert_total_x(flow: QuasilinearFlow, i: int) -> Expr:
                     f"component {i + 1} is not a total x-derivative:"
                     f" d/d{coords[b]} of {coords[a]}-part differs by {d.normalized()}"
                 )
-    return _potential(ctx, coords, comps)
+    return poincare_potential(ctx, coords, comps)
 
 
 def magri_step(A: ConstantOp, B: NonlocalIsometryOp, h_k: Density) -> Density:
@@ -275,12 +240,7 @@ def magri_step(A: ConstantOp, B: NonlocalIsometryOp, h_k: Density) -> Density:
     flow = apply_operator(B, variational_gradient(h_k))
     phi = [_invert_total_x(flow, i) for i in range(n)]
     eta_cov = A.covariant
-    psi = []
-    for j in range(n):
-        total = ctx.number(0)
-        for i in range(n):
-            total = total + eta_cov[j][i] * phi[i]
-        psi.append(total.normalized())
+    psi = tensor(n, 1, lambda j: contract(ctx, n, lambda i: eta_cov[j][i] * phi[i]).normalized())
     for a in range(n):
         for b in range(a + 1, n):
             d = sc.diff(psi[a], ctx.fields[b]) - sc.diff(psi[b], ctx.fields[a])
@@ -289,30 +249,24 @@ def magri_step(A: ConstantOp, B: NonlocalIsometryOp, h_k: Density) -> Density:
                     f"candidate gradient not closed in ({ctx.fields[a]},"
                     f" {ctx.fields[b]}): {d.normalized()}"
                 )
-    return Density(_potential(ctx, ctx.fields, psi))
+    return Density(poincare_potential(ctx, ctx.fields, psi))
+
+
+def _symbol(B: NonlocalIsometryOp, i: int, dx: Expr, mult: Expr, right: Expr):
+    """The OperatorSymbol dx * d_x + mult + (eps f^i) dx^{-1} right, its
+    tail dropped when a side vanishes."""
+    left = (B.epsilon * B.isometry[i]).normalized()
+    right = right.normalized()
+    tails = () if sc.is_zero(left) or sc.is_zero(right) else ((left, right),)
+    return OperatorSymbol(dx.normalized(), mult.normalized(), tails)
 
 
 def operator_symbols(B: NonlocalIsometryOp) -> tuple[tuple[OperatorSymbol, ...], ...]:
     """The matrix of formal symbols of B itself."""
     ctx = B.ctx
-    n = B.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            mult = ctx.number(0)
-            for k, jet in enumerate(ctx.jet1_syms):
-                mult = mult + B.gamma[i][j][k] * Expr(ctx, jet)
-            left = (B.epsilon * B.isometry[i]).normalized()
-            right = B.isometry[j].normalized()
-            tails = ()
-            if not (sc.is_zero(left) or sc.is_zero(right)):
-                tails = ((left, right),)
-            row.append(OperatorSymbol(
-                B.metric.entries[i][j].normalized(), mult.normalized(), tails
-            ))
-        out.append(tuple(row))
-    return tuple(out)
+    return tensor(B.n, 2, lambda i, j: _symbol(
+        B, i, B.metric.entries[i][j], _jet_sum(ctx, lambda k: B.gamma[i][j][k]), B.isometry[j]
+    ))
 
 
 def recursion_operator(A: ConstantOp, B: NonlocalIsometryOp) -> RecursionOperator:
@@ -321,26 +275,14 @@ def recursion_operator(A: ConstantOp, B: NonlocalIsometryOp) -> RecursionOperato
     ctx = B.ctx
     n = B.n
     eta_cov = A.covariant
-    entries = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            dx = ctx.number(0)
-            mult = ctx.number(0)
-            right = ctx.number(0)
-            for s in range(n):
-                dx = dx + B.metric.entries[i][s] * eta_cov[s][k]
-                for m, jet in enumerate(ctx.jet1_syms):
-                    mult = mult + B.gamma[i][s][m] * eta_cov[s][k] * Expr(ctx, jet)
-                right = right + B.isometry[s] * eta_cov[s][k]
-            left = (B.epsilon * B.isometry[i]).normalized()
-            right = right.normalized()
-            tails = ()
-            if not (sc.is_zero(left) or sc.is_zero(right)):
-                tails = ((left, right),)
-            row.append(OperatorSymbol(dx.normalized(), mult.normalized(), tails))
-        entries.append(tuple(row))
-    return RecursionOperator(tuple(entries))
+    return RecursionOperator(tensor(n, 2, lambda i, k: _symbol(
+        B, i,
+        contract(ctx, n, lambda s: B.metric.entries[i][s] * eta_cov[s][k]),
+        contract(ctx, n, lambda s: _jet_sum(
+            ctx, lambda m: B.gamma[i][s][m] * eta_cov[s][k]
+        )),
+        contract(ctx, n, lambda s: B.isometry[s] * eta_cov[s][k]),
+    )))
 
 
 def _tails_equal(ctx: Context, t1, t2) -> bool:
@@ -351,12 +293,9 @@ def _tails_equal(ctx: Context, t1, t2) -> bool:
     copies = tuple(f + "_cpy" for f in ctx.fields)
     ext = ctx.extend(parameters=copies)
     mapping = {f: ext.var(c) for f, c in zip(ctx.fields, copies)}
-    total = ext.number(0)
-    for left, right in t1:
-        total = total + left * sc.substitute(right, mapping)
-    for left, right in t2:
-        total = total - left * sc.substitute(right, mapping)
-    return sc.is_zero(total)
+    terms = [left * sc.substitute(right, mapping) for left, right in t1]
+    terms += [-(left * sc.substitute(right, mapping)) for left, right in t2]
+    return sc.is_zero(contract(ext, len(terms), terms.__getitem__))
 
 
 def symbols_equal(a: OperatorSymbol, b: OperatorSymbol) -> bool:
@@ -379,16 +318,10 @@ def commute_check(F1: QuasilinearFlow, F2: QuasilinearFlow) -> bool:
     e2 = [F2.component(i) for i in range(n)]
     dxe1 = [sc.total_x_derivative(e) for e in e1]
     dxe2 = [sc.total_x_derivative(e) for e in e2]
-    for i in range(n):
-        residual = ctx.number(0)
-        for k in range(n):
-            residual = residual + sc.diff(e2[i], ctx.fields[k]) * e1[k]
-            residual = residual + F2.V[i][k] * dxe1[k]
-            residual = residual - sc.diff(e1[i], ctx.fields[k]) * e2[k]
-            residual = residual - F1.V[i][k] * dxe2[k]
-        if not sc.is_zero(residual):
-            return False
-    return True
+    return all(sc.is_zero(contract(ctx, n, lambda k: (
+        sc.diff(e2[i], ctx.fields[k]) * e1[k] + F2.V[i][k] * dxe1[k]
+        - sc.diff(e1[i], ctx.fields[k]) * e2[k] - F1.V[i][k] * dxe2[k]
+    ))) for i in range(n))
 
 
 def wdvv_flow(F: Expr, eta: ConstantOp, k: int) -> QuasilinearFlow:
@@ -399,17 +332,7 @@ def wdvv_flow(F: Expr, eta: ConstantOp, k: int) -> QuasilinearFlow:
     _require_jet_free(ctx, F, "potentials")
     if not 1 <= k <= n:
         raise ValueError(f"flow index {k} out of range 1..{n}")
-    V = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            total = ctx.number(0)
-            for m in range(n):
-                total = total + eta.entries[i][m] * sc.diff(
-                    sc.diff(sc.diff(F, ctx.fields[m]), ctx.fields[k - 1]),
-                    ctx.fields[j],
-                )
-            row.append(total.normalized())
-        V.append(tuple(row))
-    zero = ctx.number(0)
-    return QuasilinearFlow(tuple(V), tuple(zero for _ in range(n)))
+    V = tensor(n, 2, lambda i, j: contract(ctx, n, lambda m: eta.entries[i][m] * sc.diff(
+        sc.diff(sc.diff(F, ctx.fields[m]), ctx.fields[k - 1]), ctx.fields[j],
+    )).normalized())
+    return QuasilinearFlow(V, (ctx.number(0),) * n)

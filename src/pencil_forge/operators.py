@@ -11,11 +11,12 @@ curvature c, and f is a Killing field satisfying the cyclic condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from . import diffgeo as dg
 from . import symcore as sc
-from .diffgeo import DegenerateMetricError, Metric, VectorField, mat_inverse
+from .diffgeo import DegenerateMetricError, Metric, VectorField, contract, tensor
 from .symcore import Context, Expr
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "validate_nonlocal",
     "liouville_potential",
     "h_potential_check",
+    "poincare_potential",
 ]
 
 
@@ -62,10 +64,6 @@ class ValidationReport:
 
 
 GammaTable = tuple  # [i][j][k] -> Expr, raised symbols Gamma^{ij}_k
-
-
-def _freeze_gamma(gamma: Sequence) -> GammaTable:
-    return tuple(tuple(tuple(row) for row in plane) for plane in gamma)
 
 
 @dataclass(frozen=True)
@@ -138,52 +136,30 @@ class ConstantOp:
             for e in row:
                 if not e.is_rational_constant():
                     raise ValueError(f"eta entries must be rational constants, got {e}")
-        for i in range(self.n):
-            for j in range(self.n):
-                if not sc.is_zero(self.entries[i][j] - self.entries[j][i]):
-                    raise ValueError("eta must be symmetric")
-        self._metric = Metric(ctx, self.entries)
-        if self._metric.is_degenerate():
+        self.metric = Metric(ctx, self.entries)
+        if not self.metric.is_symmetric():
+            raise ValueError("eta must be symmetric")
+        if self.metric.is_degenerate():
             raise DegenerateMetricError("eta is degenerate")
-        self._covariant = mat_inverse(self.entries, self._metric.det)
 
     @classmethod
     def antidiagonal(cls, ctx: Context) -> "ConstantOp":
         n = ctx.n
-        one = ctx.number(1)
-        zero = ctx.number(0)
-        return cls(ctx, [
-            [one if i + j == n - 1 else zero for j in range(n)] for i in range(n)
-        ])
-
-    @property
-    def metric(self) -> Metric:
-        return self._metric
+        zero, one = ctx.number(0), ctx.number(1)
+        return cls(ctx, tensor(n, 2, lambda i, j: one if i + j == n - 1 else zero))
 
     @property
     def covariant(self):
         """eta_{ij}, the inverse matrix."""
-        return self._covariant
+        return self.metric.covariant
 
 
 def _lower_connection(op) -> tuple:
     """Gamma^j_{mk} = -g_{mi} Gamma^{ij}_k from the operator's raised symbols."""
-    n = op.n
-    ctx = op.ctx
     cov = op.metric.covariant
-    lower = []
-    for j in range(n):
-        plane = []
-        for m in range(n):
-            row = []
-            for k in range(n):
-                total = ctx.number(0)
-                for i in range(n):
-                    total = total - cov[m][i] * op.gamma[i][j][k]
-                row.append(total.normalized())
-            plane.append(tuple(row))
-        lower.append(tuple(plane))
-    return tuple(lower)
+    return tensor(op.n, 3, lambda j, m, k: contract(
+        op.ctx, op.n, lambda i: -(cov[m][i] * op.gamma[i][j][k])
+    ).normalized())
 
 
 def validate_local(op: LocalFirstOrderOp) -> ValidationReport:
@@ -209,27 +185,16 @@ def validate_local(op: LocalFirstOrderOp) -> ValidationReport:
                             f" by {d.normalized()}"
                         )
         checks.append(CheckItem("levi_civita_symbols", ok, witness))
-        flat_witness = _flatness_witness(g)
-        checks.append(CheckItem("flat", flat_witness is None, flat_witness))
+        curved = dg.riemann(g).first_nonzero()
+        witness = None
+        if curved is not None:
+            i, j, k, l, comp = curved
+            witness = f"R^{i+1}_{{{j+1}{k+1}{l+1}}} = {comp.normalized()}"
+        checks.append(CheckItem("flat", curved is None, witness))
     else:
         checks.append(CheckItem("levi_civita_symbols", False, "metric not symmetric"))
         checks.append(CheckItem("flat", False, "metric not symmetric"))
     return ValidationReport(tuple(checks))
-
-
-def _flatness_witness(g: Metric) -> str | None:
-    curv = dg.riemann(g)
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    comp = curv.mixed[i][j][k][l]
-                    if not sc.is_zero(comp):
-                        return (
-                            f"R^{i+1}_{{{j+1}{k+1}{l+1}}} = {comp.normalized()}"
-                        )
-    return None
 
 
 def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
@@ -269,10 +234,9 @@ def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    total = sc.diff(g.entries[i][j], ctx.fields[k])
-                    for s in range(n):
-                        total = total + lower[i][k][s] * g.entries[s][j]
-                        total = total + lower[j][k][s] * g.entries[s][i]
+                    total = sc.diff(g.entries[i][j], ctx.fields[k]) + contract(ctx, n, lambda s: (
+                        lower[i][k][s] * g.entries[s][j] + lower[j][k][s] * g.entries[s][i]
+                    ))
                     if not sc.is_zero(total):
                         metricity = False
                         witness = (
@@ -322,13 +286,13 @@ def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def _poincare_integral(ctx: Context, components: Sequence[Expr]) -> Expr:
-    """Potential with d(potential)/du^j = components[j]; assumes closedness."""
-    total = ctx.number(0)
-    for j, name in enumerate(ctx.fields):
-        remainder = components[j] - sc.diff(total, name)
-        total = total + sc.antiderivative(remainder, name)
-    return total.normalized()
+def poincare_potential(ctx: Context, coords: Sequence[str], comps: Sequence[Expr]) -> Expr:
+    """phi with d(phi)/d(coords[j]) = comps[j], integrating one coordinate
+    at a time with zero constants; closedness is assumed, not checked."""
+    def integrate(phi: Expr, j: int) -> Expr:
+        return phi + sc.antiderivative(comps[j] - sc.diff(phi, coords[j]), coords[j])
+
+    return reduce(integrate, range(len(coords)), ctx.number(0)).normalized()
 
 
 def liouville_potential(op, reference: Sequence[Sequence[Expr]] | None = None):
@@ -355,28 +319,22 @@ def liouville_potential(op, reference: Sequence[Sequence[Expr]] | None = None):
                             f"d_{ctx.fields[l]} Gamma^{{{i+1}{j+1}}}_{k+1} !="
                             f" d_{ctx.fields[k]} Gamma^{{{i+1}{j+1}}}_{l+1}"
                         )
-    r0 = [
-        [_poincare_integral(ctx, [op.gamma[i][j][k] for k in range(n)])
-         for j in range(n)]
-        for i in range(n)
-    ]
-    # symmetric constant correction: r + r^T must equal g exactly
-    r = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = (g.entries[i][j] - r0[i][j] - r0[j][i]).normalized()
-            for name in ctx.fields:
-                if s.depends_on(name):
-                    raise NotLiouvilleError(
-                        f"g^{{{i+1}{j+1}}} - r^{{{i+1}{j+1}}} - r^{{{j+1}{i+1}}}"
-                        f" is not constant: {s}"
-                    )
-            r[i][j] = (r0[i][j] + s / 2).normalized()
+    r0 = tensor(n, 2, lambda i, j: poincare_potential(ctx, ctx.fields, op.gamma[i][j]))
+
+    def corrected(i: int, j: int) -> Expr:
+        # symmetric constant correction: r + r^T must equal g exactly
+        s = (g.entries[i][j] - r0[i][j] - r0[j][i]).normalized()
+        for name in ctx.fields:
+            if s.depends_on(name):
+                raise NotLiouvilleError(
+                    f"g^{{{i+1}{j+1}}} - r^{{{i+1}{j+1}}} - r^{{{j+1}{i+1}}}"
+                    f" is not constant: {s}"
+                )
+        return (r0[i][j] + s / 2).normalized()
+
+    r = tensor(n, 2, corrected)
     if reference is not None:
-        delta = [
-            [(reference[i][j] - r[i][j]).normalized() for j in range(n)]
-            for i in range(n)
-        ]
+        delta = tensor(n, 2, lambda i, j: (reference[i][j] - r[i][j]).normalized())
         gauge_ok = all(
             not delta[i][j].depends_on(name)
             for i in range(n) for j in range(n) for name in ctx.fields
@@ -385,11 +343,8 @@ def liouville_potential(op, reference: Sequence[Sequence[Expr]] | None = None):
             for i in range(n) for j in range(n)
         )
         if gauge_ok:
-            r = [
-                [(r[i][j] + delta[i][j]).normalized() for j in range(n)]
-                for i in range(n)
-            ]
-    return tuple(tuple(row) for row in r)
+            r = tensor(n, 2, lambda i, j: (r[i][j] + delta[i][j]).normalized())
+    return r
 
 
 def h_potential_check(op, eta: ConstantOp, H: Sequence[Expr]) -> bool:
@@ -399,24 +354,15 @@ def h_potential_check(op, eta: ConstantOp, H: Sequence[Expr]) -> bool:
     n = op.n
     if len(H) != n:
         raise ValueError(f"expected {n} potential components, got {len(H)}")
-    dH = [
-        [sc.diff(H[j], ctx.fields[s]) for s in range(n)]
-        for j in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            total = -op.metric.entries[i][j]
-            for s in range(n):
-                total = total + eta.entries[i][s] * dH[j][s]
-                total = total + eta.entries[j][s] * dH[i][s]
-            if not sc.is_zero(total):
-                return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = -op.gamma[i][j][k]
-                for s in range(n):
-                    total = total + eta.entries[i][s] * sc.diff(dH[j][s], ctx.fields[k])
-                if not sc.is_zero(total):
-                    return False
-    return True
+    dH = tensor(n, 2, lambda j, s: sc.diff(H[j], ctx.fields[s]))
+    return all(
+        sc.is_zero(-op.metric.entries[i][j] + contract(
+            ctx, n, lambda s: eta.entries[i][s] * dH[j][s] + eta.entries[j][s] * dH[i][s]
+        ))
+        for i in range(n) for j in range(n)
+    ) and all(
+        sc.is_zero(-op.gamma[i][j][k] + contract(
+            ctx, n, lambda s: eta.entries[i][s] * sc.diff(dH[j][s], ctx.fields[k])
+        ))
+        for i in range(n) for j in range(n) for k in range(n)
+    )

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from . import diffgeo as dg
 from . import symcore as sc
-from .diffgeo import Metric, VectorField
+from .diffgeo import Metric
 from .operators import CheckItem, ConstantOp, NonlocalIsometryOp, ValidationReport
-from .symcore import Context, Expr
 
 __all__ = [
     "DegeneratePencilError",
@@ -84,13 +83,10 @@ def _almost(pencil: Pencil) -> bool:
     conn_l = dg.levi_civita(pencil.combined).raised
     conn_g = dg.levi_civita(pencil.g).raised
     conn_t = dg.levi_civita(pencil.gt).raised
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d = conn_l[i][j][k] - conn_g[i][j][k] - pencil.lam * conn_t[i][j][k]
-                if not sc.is_zero(d):
-                    return False
-    return True
+    return all(
+        sc.is_zero(conn_l[i][j][k] - conn_g[i][j][k] - pencil.lam * conn_t[i][j][k])
+        for i in range(n) for j in range(n) for k in range(n)
+    )
 
 
 def _connection_vanishes(g: Metric) -> bool:
@@ -117,40 +113,23 @@ def compatible(g: Metric, gt: Metric) -> bool:
     pencil = Pencil(g, gt)
     if not _almost(pencil):
         return False
+    n = pencil.n
+    indices = [(i, j, k, l) for i in range(n) for j in range(n)
+               for k in range(n) for l in range(k + 1, n)]
     if _connection_vanishes(pencil.gt):
         curv = dg.riemann(pencil.g)
-        n = pencil.n
-        if curv.is_zero():
-            return True
-        # lambda-part of the raised pencil curvature: gt^{is} R^j_{skl}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(k + 1, n):
-                        total = pencil.ctx.number(0)
-                        for s in range(n):
-                            total = total + (
-                                pencil.gt.entries[i][s] * curv.mixed[j][s][k][l]
-                            )
-                        if not sc.is_zero(total):
-                            return False
-        return True
+        # flat, or the lambda-part gt^{is} R^j_{skl} of the raised pencil
+        # curvature vanishes
+        return curv.first_nonzero() is None or all(
+            sc.is_zero(curv.raised_component(pencil.gt, *index)) for index in indices
+        )
     curv_l = dg.riemann(pencil.combined).raised
     curv_g = dg.riemann(pencil.g).raised
     curv_t = dg.riemann(pencil.gt).raised
-    n = pencil.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    d = (
-                        curv_l[i][j][k][l]
-                        - curv_g[i][j][k][l]
-                        - pencil.lam * curv_t[i][j][k][l]
-                    )
-                    if not sc.is_zero(d):
-                        return False
-    return True
+    return all(
+        sc.is_zero(curv_l[i][j][k][l] - curv_g[i][j][k][l] - pencil.lam * curv_t[i][j][k][l])
+        for i, j, k, l in indices
+    )
 
 
 def pair_check(A: ConstantOp, B: NonlocalIsometryOp) -> ValidationReport:
@@ -159,15 +138,14 @@ def pair_check(A: ConstantOp, B: NonlocalIsometryOp) -> ValidationReport:
     for g_B; then A + lambda*B is Hamiltonian for every lambda."""
     if not sc.is_zero(B.c):
         raise ValueError("pair criterion requires a c = 0 nonlocal tail")
-    eta_metric = Metric(B.ctx, A.entries)
-    compat = compatible(B.metric, eta_metric)
+    compat = compatible(B.metric, A.metric)
     checks = [CheckItem(
         "pencil_compatible", compat,
         None if compat else
         "pencil symbols are not affine in lambda or the curvature"
         " does not split",
     )]
-    for name, g in (("eta_killing", eta_metric), ("metric_killing", B.metric)):
+    for name, g in (("eta_killing", A.metric), ("metric_killing", B.metric)):
         defect = dg.killing_defect(g, B.isometry)
         checks.append(CheckItem(
             name, defect is None,

@@ -20,12 +20,14 @@ t^2 = s of the root generator t and the split into components then run in
 sympy's sparse FracField/PolyRing over QQ in lex order, with function
 atoms as plain generators; each component is converted back to an
 expanded sympy numerator and denominator.  Square-free decomposition of
-radicands still goes through sympy.sqf_list.  The grammar, the normal
-form and the decision procedures here are self-contained.
+radicands still goes through sympy.sqf_list, memoized per radicand.  The
+grammar, the normal form and the decision procedures here are
+self-contained.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -338,9 +340,11 @@ def _split_square(m: int) -> tuple[int, int]:
     return a, b
 
 
+@functools.lru_cache(maxsize=256)
 def _canonical_radicand(r: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
     """Write sqrt(r) = coeff * sqrt(core) with core a canonical square-free
-    polynomial; returns (coeff, core)."""
+    polynomial; returns (coeff, core).  Memoized: one normalization meets
+    the same radicand in every square root it holds."""
     if any(
         isinstance(p.exp, sp.Rational) and p.exp.q != 1 for p in r.atoms(sp.Pow)
     ) or r.atoms(sp.log):

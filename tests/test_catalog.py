@@ -5,6 +5,8 @@ import json
 import pytest
 
 from pencil_forge import catalog as cat
+from pencil_forge import cli
+from pencil_forge import diffgeo as dg
 from pencil_forge import hierarchy as hy
 from pencil_forge import symcore as sc
 
@@ -51,6 +53,59 @@ class TestBuiltinCases:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             cat.builtin_case("g10")
+
+    def test_fresh_records(self):
+        assert cat.builtin_case("g1") is not cat.builtin_case("g1")
+        assert cat.builtin_cases()[0] is not cat.builtin_cases()[0]
+
+
+class TestSchema:
+    def test_builtins_pass(self):
+        data = cat._case_data()
+        assert len(data) == 11
+        for d in data:
+            cat.validate_case_data(d)
+
+    def test_non_square_metric_rejected(self):
+        data = json.loads(json.dumps(cat.builtin_case("g1").data))
+        data["metric"][1] = ["v"]
+        with pytest.raises(cat.CaseFileError, match="2x2 matrix"):
+            cat.CaseRecord(data)
+
+    def test_missing_key_rejected(self):
+        data = dict(cat.builtin_case("g1").data)
+        del data["isometry"]
+        with pytest.raises(cat.CaseFileError, match="missing key 'isometry'"):
+            cat.CaseRecord(data)
+
+    def test_cli_names_resolve(self):
+        assert cli.validate_case_data is cat.validate_case_data
+        assert cli.CaseFileError is cat.CaseFileError
+
+
+class TestOneOperatorPerCase:
+    def test_record_objects_are_shared(self):
+        case = cat.builtin_case("g3")
+        assert case.operator() is case.operator()
+        assert case.operator().metric is case.metric()
+        assert case.eta() is case.eta()
+        assert cat._bind_operator(case, None) is case.operator()
+
+    def test_g3_computes_three_connections(self, monkeypatch):
+        computed = []
+        levi_civita = dg.levi_civita
+
+        def counting(g):
+            if g._connection is None:
+                computed.append(g)
+            return levi_civita(g)
+
+        monkeypatch.setattr(dg, "levi_civita", counting)
+        case = cat.builtin_case("g3")
+        assert cat.verify_case(case).passed
+        # the case metric, eta and the pencil g + lambda*eta
+        assert len(computed) == 3
+        assert computed[0] is case.metric()
 
 
 class TestVerifyCase:
