@@ -6,6 +6,11 @@ symbols raised by Gamma^{ij}_k = -g^{is} Gamma^j_{sk}.  The nonlocal
 extension adds c u^i_x dx^{-1} u^j_x + eps f^i dx^{-1} f^j and is Poisson
 iff the connection is symmetric and metric-compatible with constant
 curvature c, and f is a Killing field satisfying the cyclic condition.
+
+The flatness witness is CurvatureTensor.first_nonzero of the metric, and
+ConstantOp keeps eta as a Metric, whose inverse and connection it shares.
+poincare_potential integrates a closed set of partial derivatives; the
+Liouville potential here and the Magri step in hierarchy both use it.
 """
 
 from __future__ import annotations
