@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from . import diffgeo as dg
 from . import hierarchy as hy
 from . import operators as ops
 from . import pencil as pc
 from . import symcore as sc
-from .diffgeo import DegenerateMetricError, Metric, VectorField, contract, tensor
+from .diffgeo import DegenerateMetricError, Metric, VectorField, contract, first_nonzero, tensor
 from .operators import ConstantOp, NonlocalIsometryOp
 from .symcore import Context, Expr
 
@@ -685,34 +686,28 @@ def _bind_operator(case: CaseRecord, binds: dict[str, str] | None) -> NonlocalIs
 def _check_christoffel(case: CaseRecord, op: NonlocalIsometryOp):
     ctx = case.context()
     table = case.references["christoffel"]
-    n = op.n
-    for k, coord in enumerate(ctx.fields):
-        ref_rows = table[coord]
-        for i in range(n):
-            for j in range(n):
-                want = ctx.parse(ref_rows[i][j])
-                got = op.gamma[i][j][k]
-                if not sc.is_zero(got - want):
-                    return False, (
-                        f"Gamma^{{{i+1}{j+1}}}_{coord}: computed {got.normalized()},"
-                        f" reference {want}"
-                    )
-    return True, None
+
+    def want(k: int, i: int, j: int) -> Expr:
+        return ctx.parse(table[ctx.fields[k]][i][j])
+
+    return ops.scan_verdict(
+        first_nonzero(
+            product(range(op.n), repeat=3), lambda k, i, j: op.gamma[i][j][k] - want(k, i, j)
+        ),
+        lambda k, i, j, _: f"Gamma^{{{i+1}{j+1}}}_{ctx.fields[k]}: computed"
+                           f" {op.gamma[i][j][k]}, reference {want(k, i, j)}",
+    )
 
 
 def _check_liouville(case: CaseRecord, op: NonlocalIsometryOp):
     ctx = case.context()
     ref = [[ctx.parse(t) for t in row] for row in case.references["liouville"]]
     r = ops.liouville_potential(op, ref)
-    n = op.n
-    for i in range(n):
-        for j in range(n):
-            if not sc.is_zero(r[i][j] - ref[i][j]):
-                return False, (
-                    f"r^{{{i+1}{j+1}}} = {r[i][j]} differs from reference"
-                    f" {ref[i][j]} beyond the constant antisymmetric gauge"
-                )
-    return True, None
+    return ops.scan_verdict(
+        first_nonzero(product(range(op.n), repeat=2), lambda i, j: r[i][j] - ref[i][j]),
+        lambda i, j, _: f"r^{{{i+1}{j+1}}} = {r[i][j]} differs from reference"
+                        f" {ref[i][j]} beyond the constant antisymmetric gauge",
+    )
 
 
 def _check_h_potential(case: CaseRecord, op: NonlocalIsometryOp):
@@ -859,6 +854,11 @@ def verify_case(case: CaseRecord) -> VerificationReport:
         return True, None
 
     if not run("nondegenerate", nondegenerate):
+        return VerificationReport(case.name, tuple(outcomes))
+
+    start = time.perf_counter()
+    if not case.metric().is_symmetric():  # no Levi-Civita connection, so no operator
+        outcomes.append(CheckOutcome("metric_symmetric", "fail", None, time.perf_counter() - start))
         return VerificationReport(case.name, tuple(outcomes))
 
     op = case.operator()

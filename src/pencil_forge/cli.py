@@ -5,7 +5,8 @@ operator in the factored matrix layout, run Magri steps from a seed
 density, and list or export the builtin catalog.  Reports go to stdout
 (text or JSON), diagnostics to stderr.  Exit codes: 0 all checks pass,
 1 at least one check failed or a recursion obstruction occurred,
-2 load, schema or parse errors.
+2 load, schema or parse errors, 141 (128 + SIGPIPE) standard output was
+closed before the whole report was written, as when a pipe's reader exits.
 
 The environment variable PENCIL_FORGE_PROBES (an integer point count)
 enables the numeric safety oracle behind every zero test.
@@ -37,12 +38,8 @@ def load_case_file(path: str) -> CaseRecord:
         raise CaseFileError(f"invalid JSON in {path}: {exc}") from exc
     case = CaseRecord(data)
     try:
-        ctx = case.context()
-        for row in data["metric"]:
-            for text in row:
-                ctx.parse(text)
-        for text in data["isometry"]:
-            ctx.parse(text)
+        case.metric()
+        case.isometry()
         case.epsilon()
         case.c()
     except (sc.ParseError, ValueError) as exc:
@@ -315,13 +312,16 @@ def main(argv=None) -> int:
             i += 1
     args = parser.parse_args(merged)
     try:
-        return args.fn(args)
-    except CaseFileError as exc:
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except (CaseFileError, sc.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except sc.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader is gone; devnull takes the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

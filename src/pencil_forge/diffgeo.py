@@ -17,13 +17,16 @@ Every index contraction in the package goes through contract (a sum of
 terms over one index, added left to right onto zero), and every tensor
 table is built by tensor (an n x ... x n nested tuple from an index
 function).  Neither normalizes: callers normalize where a value is kept.
+Every vanishing condition is decided by first_nonzero, the one scan: it
+zero-tests components in a given order and returns the first nonzero one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 from . import symcore as sc
 from .symcore import Context, Expr
@@ -44,6 +47,8 @@ __all__ = [
     "mat_inverse",
     "contract",
     "tensor",
+    "first_nonzero",
+    "skew_indices",
 ]
 
 
@@ -65,6 +70,21 @@ def tensor(n: int, rank: int, entry: Callable[..., Expr]) -> tuple:
     if rank == 1:
         return tuple(entry(i) for i in range(n))
     return tuple(tensor(n, rank - 1, partial(entry, i)) for i in range(n))
+
+
+def first_nonzero(indices: Iterable[tuple], component: Callable[..., Expr]) -> tuple | None:
+    """(*index, value) for the first index tuple, in the order given, whose
+    component(*index) is not identically zero; None when all vanish."""
+    for index in indices:
+        value = component(*index)
+        if not sc.is_zero(value):
+            return (*index, value)
+    return None
+
+
+def skew_indices(n: int) -> list[tuple[int, int, int, int]]:
+    """(i, j, k, l) with k < l, in lexicographic order."""
+    return [index for index in product(range(n), repeat=4) if index[2] < index[3]]
 
 
 def _cofactor(rows: Sequence[Sequence[Expr]], i: int, j: int, scale: Expr | None = None) -> Expr:
@@ -111,6 +131,7 @@ class Metric:
         self.n = len(self.entries)
         if any(len(row) != self.n for row in self.entries):
             raise ValueError("metric entries must form a square matrix")
+        self._symmetric: bool | None = None
         self._det: Expr | None = None
         self._inverse: ExprMatrix | None = None
         self._connection: "Connection | None" = None
@@ -130,10 +151,12 @@ class Metric:
         return self._inverse
 
     def is_symmetric(self) -> bool:
-        return all(
-            sc.is_zero(self.entries[i][j] - self.entries[j][i])
-            for i in range(self.n) for j in range(i + 1, self.n)
-        )
+        if self._symmetric is None:
+            self._symmetric = all(
+                sc.is_zero(self.entries[i][j] - self.entries[j][i])
+                for i in range(self.n) for j in range(i + 1, self.n)
+            )
+        return self._symmetric
 
     def is_degenerate(self) -> bool:
         return sc.is_zero(self.det)
@@ -191,14 +214,7 @@ class CurvatureTensor:
     def first_nonzero(self) -> tuple[int, int, int, int, Expr] | None:
         """(i, j, k, l, R^i_{jkl}) for the first nonzero mixed component
         with k < l, in lexicographic order; None when the metric is flat."""
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(k + 1, n):
-                        if not sc.is_zero(self.mixed[i][j][k][l]):
-                            return i, j, k, l, self.mixed[i][j][k][l]
-        return None
+        return first_nonzero(skew_indices(self.n), lambda i, j, k, l: self.mixed[i][j][k][l])
 
 
 def _skew_tensor(ctx: Context, n: int, component: Callable[..., Expr]) -> tuple:
@@ -287,16 +303,12 @@ def constant_curvature(g: Metric) -> Expr | None:
     if n == 1:
         return ctx.number(0)
     c = curv.raised[0][1][1][0]
-    for name in ctx.fields:
-        if not sc.is_zero(sc.diff(c, name)):
-            return None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    template = c * ((i == l and j == k) - (i == k and j == l))
-                    if not sc.is_zero(curv.raised[i][j][k][l] - template):
-                        return None
+    if first_nonzero(zip(ctx.fields), lambda name: sc.diff(c, name)) or first_nonzero(
+        product(range(n), repeat=4), lambda i, j, k, l: (
+            curv.raised[i][j][k][l] - c * ((i == l and j == k) - (i == k and j == l))
+        )
+    ):
+        return None
     return c.normalized()
 
 
@@ -305,16 +317,14 @@ def killing_defect(g: Metric, f: VectorField) -> tuple[int, int, Expr] | None:
     metric along f: f^k d_k g^{ij} - g^{kj} d_k f^i - g^{ik} d_k f^j."""
     n = g.n
     fields = g.ctx.fields
-    for i in range(n):
-        for j in range(i, n):
-            total = contract(g.ctx, n, lambda k: (
-                f[k] * sc.diff(g.entries[i][j], fields[k])
-                - g.entries[k][j] * sc.diff(f[i], fields[k])
-                - g.entries[i][k] * sc.diff(f[j], fields[k])
-            ))
-            if not sc.is_zero(total):
-                return i, j, total.normalized()
-    return None
+    return first_nonzero(
+        ((i, j) for i, j in product(range(n), repeat=2) if i <= j),
+        lambda i, j: contract(g.ctx, n, lambda k: (
+            f[k] * sc.diff(g.entries[i][j], fields[k])
+            - g.entries[k][j] * sc.diff(f[i], fields[k])
+            - g.entries[i][k] * sc.diff(f[j], fields[k])
+        )),
+    )
 
 
 def killing_check(g: Metric, f: VectorField) -> bool:
@@ -335,17 +345,9 @@ def cyclic_defect(g: Metric, f: VectorField) -> tuple[int, int, int, Expr] | Non
     nabla_upper = tensor(n, 2, lambda i, k: contract(
         ctx, n, lambda s: g.entries[i][s] * nabla_lower[s][k]
     ))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = (
-                    f[j] * nabla_upper[i][k]
-                    + f[k] * nabla_upper[j][i]
-                    + f[i] * nabla_upper[k][j]
-                )
-                if not sc.is_zero(total):
-                    return i, j, k, total.normalized()
-    return None
+    return first_nonzero(product(range(n), repeat=3), lambda i, j, k: (
+        f[j] * nabla_upper[i][k] + f[k] * nabla_upper[j][i] + f[i] * nabla_upper[k][j]
+    ))
 
 
 def cyclic_check(g: Metric, f: VectorField) -> bool:

@@ -16,9 +16,10 @@ composition calculus is attempted beyond that factored display form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from . import symcore as sc
-from .diffgeo import contract, tensor
+from .diffgeo import contract, first_nonzero, tensor
 from .operators import ConstantOp, NonlocalIsometryOp, poincare_potential
 from .symcore import Context, Expr
 
@@ -118,21 +119,11 @@ class QuasilinearFlow:
         return self.sigma[i] + _jet_sum(self.ctx, lambda j: self.V[i][j])
 
     def equal(self, other: "QuasilinearFlow", sign: int = 1) -> bool:
-        if self.n != other.n:
-            return False
-        for i in range(self.n):
-            if not sc.is_zero(self.sigma[i] - sign * other.sigma[i]):
-                return False
-            for j in range(self.n):
-                if not sc.is_zero(self.V[i][j] - sign * other.V[i][j]):
-                    return False
-        return True
-
-    def negated(self) -> "QuasilinearFlow":
-        return QuasilinearFlow(
-            tuple(tuple(-e for e in row) for row in self.V),
-            tuple(-e for e in self.sigma),
-        )
+        mine, theirs = ([(s, *row) for s, row in zip(f.sigma, f.V)] for f in (self, other))
+        return self.n == other.n and first_nonzero(
+            product(range(self.n), range(self.n + 1)),
+            lambda i, j: mine[i][j] - sign * theirs[i][j],
+        ) is None
 
 
 @dataclass(frozen=True)
@@ -212,18 +203,17 @@ def flow_from_density(A: ConstantOp, h: Density) -> QuasilinearFlow:
 def _invert_total_x(flow: QuasilinearFlow, i: int) -> Expr:
     """phi(x, u) with D_x phi equal to flow component i, or NotExactError."""
     ctx = flow.ctx
-    n = flow.n
-    x = ctx.independents[0]
-    comps = [flow.sigma[i]] + [flow.V[i][j] for j in range(n)]
-    coords = (x,) + ctx.fields
-    for a in range(len(coords)):
-        for b in range(a + 1, len(coords)):
-            d = sc.diff(comps[a], coords[b]) - sc.diff(comps[b], coords[a])
-            if not sc.is_zero(d):
-                raise NotExactError(
-                    f"component {i + 1} is not a total x-derivative:"
-                    f" d/d{coords[b]} of {coords[a]}-part differs by {d.normalized()}"
-                )
+    comps = [flow.sigma[i], *flow.V[i]]
+    coords = (ctx.independents[0],) + ctx.fields
+    open_pair = first_nonzero(combinations(range(len(coords)), 2), lambda a, b: (
+        sc.diff(comps[a], coords[b]) - sc.diff(comps[b], coords[a])
+    ))
+    if open_pair is not None:
+        a, b, d = open_pair
+        raise NotExactError(
+            f"component {i + 1} is not a total x-derivative:"
+            f" d/d{coords[b]} of {coords[a]}-part differs by {d}"
+        )
     return poincare_potential(ctx, coords, comps)
 
 
@@ -241,14 +231,14 @@ def magri_step(A: ConstantOp, B: NonlocalIsometryOp, h_k: Density) -> Density:
     phi = [_invert_total_x(flow, i) for i in range(n)]
     eta_cov = A.covariant
     psi = tensor(n, 1, lambda j: contract(ctx, n, lambda i: eta_cov[j][i] * phi[i]).normalized())
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = sc.diff(psi[a], ctx.fields[b]) - sc.diff(psi[b], ctx.fields[a])
-            if not sc.is_zero(d):
-                raise NotClosedError(
-                    f"candidate gradient not closed in ({ctx.fields[a]},"
-                    f" {ctx.fields[b]}): {d.normalized()}"
-                )
+    open_pair = first_nonzero(combinations(range(n), 2), lambda a, b: (
+        sc.diff(psi[a], ctx.fields[b]) - sc.diff(psi[b], ctx.fields[a])
+    ))
+    if open_pair is not None:
+        a, b, d = open_pair
+        raise NotClosedError(
+            f"candidate gradient not closed in ({ctx.fields[a]}, {ctx.fields[b]}): {d}"
+        )
     return Density(poincare_potential(ctx, ctx.fields, psi))
 
 
@@ -299,12 +289,8 @@ def _tails_equal(ctx: Context, t1, t2) -> bool:
 
 
 def symbols_equal(a: OperatorSymbol, b: OperatorSymbol) -> bool:
-    if not sc.is_zero(a.dx - b.dx):
-        return False
-    if not sc.is_zero(a.mult - b.mult):
-        return False
-    ctx = a.dx.ctx
-    return _tails_equal(ctx, a.tails, b.tails)
+    return (sc.is_zero(a.dx - b.dx) and sc.is_zero(a.mult - b.mult)
+            and _tails_equal(a.dx.ctx, a.tails, b.tails))
 
 
 def commute_check(F1: QuasilinearFlow, F2: QuasilinearFlow) -> bool:

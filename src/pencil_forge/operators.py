@@ -7,8 +7,10 @@ extension adds c u^i_x dx^{-1} u^j_x + eps f^i dx^{-1} f^j and is Poisson
 iff the connection is symmetric and metric-compatible with constant
 curvature c, and f is a Killing field satisfying the cyclic condition.
 
-The flatness witness is CurvatureTensor.first_nonzero of the metric, and
-ConstantOp keeps eta as a Metric, whose inverse and connection it shares.
+Every condition is scanned by diffgeo.first_nonzero and reported through
+scan_verdict; the Levi-Civita, connection-symmetry and compatibility scans run
+backwards, so their witness is the last nonzero component.  ConstantOp keeps
+eta as a Metric, whose inverse and connection it shares.
 poincare_potential integrates a closed set of partial derivatives; the
 Liouville potential here and the Magri step in hierarchy both use it.
 """
@@ -17,11 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
 from . import diffgeo as dg
 from . import symcore as sc
-from .diffgeo import DegenerateMetricError, Metric, VectorField, contract, tensor
+from .diffgeo import (
+    DegenerateMetricError, Metric, VectorField, contract, first_nonzero, skew_indices, tensor,
+)
 from .symcore import Context, Expr
 
 __all__ = [
@@ -36,6 +41,8 @@ __all__ = [
     "liouville_potential",
     "h_potential_check",
     "poincare_potential",
+    "killing_item",
+    "scan_verdict",
 ]
 
 
@@ -66,6 +73,25 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+def scan_verdict(found: tuple | None, witness: Callable[..., str]) -> tuple[bool, str | None]:
+    """(True, None) when the first_nonzero scan found nothing, else
+    (False, witness(*found))."""
+    return found is None, None if found is None else witness(*found)
+
+
+def _unsymmetric(*names: str) -> list[CheckItem]:
+    """Failed items for the checks that need a symmetric metric."""
+    return [CheckItem(name, False, "metric not symmetric") for name in names]
+
+
+def killing_item(name: str, g: Metric, f: VectorField) -> CheckItem:
+    """The Killing condition of f for g as a check named name."""
+    return CheckItem(name, *scan_verdict(
+        dg.killing_defect(g, f),
+        lambda i, j, value: f"Lie derivative component ({i+1},{j+1}) = {value}",
+    ))
 
 
 GammaTable = tuple  # [i][j][k] -> Expr, raised symbols Gamma^{ij}_k
@@ -104,9 +130,8 @@ class NonlocalIsometryOp:
 
     def __post_init__(self):
         for value, label in ((self.c, "c"), (self.epsilon, "epsilon")):
-            for name in self.ctx.fields:
-                if value.depends_on(name):
-                    raise ValueError(f"{label} must not depend on field variables")
+            if any(value.depends_on(name) for name in self.ctx.fields):
+                raise ValueError(f"{label} must not depend on field variables")
 
     @property
     def ctx(self) -> Context:
@@ -167,38 +192,30 @@ def _lower_connection(op) -> tuple:
     ).normalized())
 
 
+def _backwards(n: int, rank: int):
+    """Index tuples in reverse lexicographic order: the witness is the last."""
+    return product(range(n - 1, -1, -1), repeat=rank)
+
+
 def validate_local(op: LocalFirstOrderOp) -> ValidationReport:
     """(a) g symmetric, (b) Gamma is the Levi-Civita raising, (c) g flat."""
     g = op.metric
     if g.is_degenerate():
         raise DegenerateMetricError("operator has an identically degenerate metric")
-    checks = []
     sym = g.is_symmetric()
-    checks.append(CheckItem("metric_symmetric", sym))
+    checks = [CheckItem("metric_symmetric", sym)]
     if sym:
         lc = dg.levi_civita(g).raised
-        witness = None
-        ok = True
-        for i in range(g.n):
-            for j in range(g.n):
-                for k in range(g.n):
-                    d = op.gamma[i][j][k] - lc[i][j][k]
-                    if not sc.is_zero(d):
-                        ok = False
-                        witness = (
-                            f"Gamma^{{{i+1}{j+1}}}_{k+1} differs from Levi-Civita"
-                            f" by {d.normalized()}"
-                        )
-        checks.append(CheckItem("levi_civita_symbols", ok, witness))
-        curved = dg.riemann(g).first_nonzero()
-        witness = None
-        if curved is not None:
-            i, j, k, l, comp = curved
-            witness = f"R^{i+1}_{{{j+1}{k+1}{l+1}}} = {comp.normalized()}"
-        checks.append(CheckItem("flat", curved is None, witness))
+        checks.append(CheckItem("levi_civita_symbols", *scan_verdict(
+            first_nonzero(_backwards(g.n, 3), lambda i, j, k: op.gamma[i][j][k] - lc[i][j][k]),
+            lambda i, j, k, d: f"Gamma^{{{i+1}{j+1}}}_{k+1} differs from Levi-Civita by {d}",
+        )))
+        checks.append(CheckItem("flat", *scan_verdict(
+            dg.riemann(g).first_nonzero(),
+            lambda i, j, k, l, comp: f"R^{i+1}_{{{j+1}{k+1}{l+1}}} = {comp}",
+        )))
     else:
-        checks.append(CheckItem("levi_civita_symbols", False, "metric not symmetric"))
-        checks.append(CheckItem("flat", False, "metric not symmetric"))
+        checks += _unsymmetric("levi_civita_symbols", "flat")
     return ValidationReport(tuple(checks))
 
 
@@ -211,74 +228,45 @@ def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
         raise DegenerateMetricError("operator has an identically degenerate metric")
     ctx = op.ctx
     n = op.n
-    checks = []
     sym = g.is_symmetric()
-    checks.append(CheckItem("metric_symmetric", sym))
-
-    lower = _lower_connection(op) if sym else None
-
-    # connection symmetry Gamma^j_{mk} = Gamma^j_{km}
-    conn_sym = True
-    witness = None
-    if lower is not None:
-        for j in range(n):
-            for m in range(n):
-                for k in range(m + 1, n):
-                    d = lower[j][m][k] - lower[j][k][m]
-                    if not sc.is_zero(d):
-                        conn_sym = False
-                        witness = f"Gamma^{j+1}_{{{m+1}{k+1}}} asymmetry {d.normalized()}"
-        checks.append(CheckItem("connection_symmetric", conn_sym, witness))
+    checks = [CheckItem("metric_symmetric", sym)]
+    if sym:
+        lower = _lower_connection(op)
+        # connection symmetry Gamma^j_{mk} = Gamma^j_{km}
+        checks.append(CheckItem("connection_symmetric", *scan_verdict(
+            first_nonzero(
+                (index for index in _backwards(n, 3) if index[1] < index[2]),
+                lambda j, m, k: lower[j][m][k] - lower[j][k][m],
+            ),
+            lambda j, m, k, d: f"Gamma^{j+1}_{{{m+1}{k+1}}} asymmetry {d}",
+        )))
+        # metric compatibility: d_k g^{ij} + Gamma^i_{ks} g^{sj} + Gamma^j_{ks} g^{si} = 0
+        checks.append(CheckItem("metric_compatible", *scan_verdict(
+            first_nonzero(_backwards(n, 3), lambda i, j, k: (
+                sc.diff(g.entries[i][j], ctx.fields[k]) + contract(ctx, n, lambda s: (
+                    lower[i][k][s] * g.entries[s][j] + lower[j][k][s] * g.entries[s][i]
+                ))
+            )),
+            lambda i, j, k, total: f"grad_k g^{{{i+1}{j+1}}} nonzero for k={k+1}: {total}",
+        )))
     else:
-        checks.append(CheckItem("connection_symmetric", False, "metric not symmetric"))
-
-    # metric compatibility: d_k g^{ij} + Gamma^i_{ks} g^{sj} + Gamma^j_{ks} g^{si} = 0
-    witness = None
-    metricity = True
-    if lower is not None:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    total = sc.diff(g.entries[i][j], ctx.fields[k]) + contract(ctx, n, lambda s: (
-                        lower[i][k][s] * g.entries[s][j] + lower[j][k][s] * g.entries[s][i]
-                    ))
-                    if not sc.is_zero(total):
-                        metricity = False
-                        witness = (
-                            f"grad_k g^{{{i+1}{j+1}}} nonzero for k={k+1}:"
-                            f" {total.normalized()}"
-                        )
-        checks.append(CheckItem("metric_compatible", metricity, witness))
-    else:
-        checks.append(CheckItem("metric_compatible", False, "metric not symmetric"))
+        checks += _unsymmetric("connection_symmetric", "metric_compatible")
 
     # constant curvature equals c
     cc = dg.constant_curvature(g) if sym else None
-    if cc is None:
-        checks.append(CheckItem("curvature_constant", False, "curvature not constant"))
-    else:
-        match = sc.is_zero(cc - op.c)
-        checks.append(CheckItem(
-            "curvature_constant", match,
-            None if match else f"curvature {cc} != c = {op.c}",
-        ))
+    match = cc is not None and sc.is_zero(cc - op.c)
+    checks.append(CheckItem("curvature_constant", match, None if match else (
+        "curvature not constant" if cc is None else f"curvature {cc} != c = {op.c}"
+    )))
 
     if sym:
-        kd = dg.killing_defect(g, op.isometry)
-        checks.append(CheckItem(
-            "killing", kd is None,
-            None if kd is None else
-            f"Lie derivative component ({kd[0]+1},{kd[1]+1}) = {kd[2]}",
-        ))
-        cd = dg.cyclic_defect(g, op.isometry)
-        checks.append(CheckItem(
-            "cyclic", cd is None,
-            None if cd is None else
-            f"cyclic sum ({cd[0]+1},{cd[1]+1},{cd[2]+1}) = {cd[3]}",
-        ))
+        checks.append(killing_item("killing", g, op.isometry))
+        checks.append(CheckItem("cyclic", *scan_verdict(
+            dg.cyclic_defect(g, op.isometry),
+            lambda i, j, k, total: f"cyclic sum ({i+1},{j+1},{k+1}) = {total}",
+        )))
     else:
-        checks.append(CheckItem("killing", False, "metric not symmetric"))
-        checks.append(CheckItem("cyclic", False, "metric not symmetric"))
+        checks += _unsymmetric("killing", "cyclic")
 
     if sc.is_zero(op.c):
         local = validate_local(op.local_part())
@@ -311,30 +299,25 @@ def liouville_potential(op, reference: Sequence[Sequence[Expr]] | None = None):
     ctx = op.ctx
     n = op.n
     g = op.metric
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    d = (
-                        sc.diff(op.gamma[i][j][k], ctx.fields[l])
-                        - sc.diff(op.gamma[i][j][l], ctx.fields[k])
-                    )
-                    if not sc.is_zero(d):
-                        raise NotLiouvilleError(
-                            f"d_{ctx.fields[l]} Gamma^{{{i+1}{j+1}}}_{k+1} !="
-                            f" d_{ctx.fields[k]} Gamma^{{{i+1}{j+1}}}_{l+1}"
-                        )
+    open_index = first_nonzero(skew_indices(n), lambda i, j, k, l: (
+        sc.diff(op.gamma[i][j][k], ctx.fields[l]) - sc.diff(op.gamma[i][j][l], ctx.fields[k])
+    ))
+    if open_index is not None:
+        i, j, k, l, _ = open_index
+        raise NotLiouvilleError(
+            f"d_{ctx.fields[l]} Gamma^{{{i+1}{j+1}}}_{k+1} !="
+            f" d_{ctx.fields[k]} Gamma^{{{i+1}{j+1}}}_{l+1}"
+        )
     r0 = tensor(n, 2, lambda i, j: poincare_potential(ctx, ctx.fields, op.gamma[i][j]))
 
     def corrected(i: int, j: int) -> Expr:
         # symmetric constant correction: r + r^T must equal g exactly
         s = (g.entries[i][j] - r0[i][j] - r0[j][i]).normalized()
-        for name in ctx.fields:
-            if s.depends_on(name):
-                raise NotLiouvilleError(
-                    f"g^{{{i+1}{j+1}}} - r^{{{i+1}{j+1}}} - r^{{{j+1}{i+1}}}"
-                    f" is not constant: {s}"
-                )
+        if any(s.depends_on(name) for name in ctx.fields):
+            raise NotLiouvilleError(
+                f"g^{{{i+1}{j+1}}} - r^{{{i+1}{j+1}}} - r^{{{j+1}{i+1}}}"
+                f" is not constant: {s}"
+            )
         return (r0[i][j] + s / 2).normalized()
 
     r = tensor(n, 2, corrected)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import diffgeo as dg
 from . import symcore as sc
 from .diffgeo import Metric
-from .operators import CheckItem, ConstantOp, NonlocalIsometryOp, ValidationReport
+from .operators import CheckItem, ConstantOp, NonlocalIsometryOp, ValidationReport, killing_item
 
 __all__ = [
     "DegeneratePencilError",
@@ -113,9 +113,7 @@ def compatible(g: Metric, gt: Metric) -> bool:
     pencil = Pencil(g, gt)
     if not _almost(pencil):
         return False
-    n = pencil.n
-    indices = [(i, j, k, l) for i in range(n) for j in range(n)
-               for k in range(n) for l in range(k + 1, n)]
+    indices = dg.skew_indices(pencil.n)
     if _connection_vanishes(pencil.gt):
         curv = dg.riemann(pencil.g)
         # flat, or the lambda-part gt^{is} R^j_{skl} of the raised pencil
@@ -139,18 +137,12 @@ def pair_check(A: ConstantOp, B: NonlocalIsometryOp) -> ValidationReport:
     if not sc.is_zero(B.c):
         raise ValueError("pair criterion requires a c = 0 nonlocal tail")
     compat = compatible(B.metric, A.metric)
-    checks = [CheckItem(
-        "pencil_compatible", compat,
-        None if compat else
-        "pencil symbols are not affine in lambda or the curvature"
-        " does not split",
-    )]
-    for name, g in (("eta_killing", A.metric), ("metric_killing", B.metric)):
-        defect = dg.killing_defect(g, B.isometry)
-        checks.append(CheckItem(
-            name, defect is None,
-            None if defect is None else
-            f"Lie derivative component ({defect[0]+1},{defect[1]+1})"
-            f" = {defect[2]}",
-        ))
-    return ValidationReport(tuple(checks))
+    return ValidationReport((
+        CheckItem(
+            "pencil_compatible", compat,
+            None if compat else
+            "pencil symbols are not affine in lambda or the curvature does not split",
+        ),
+        killing_item("eta_killing", A.metric, B.isometry),
+        killing_item("metric_killing", B.metric, B.isometry),
+    ))

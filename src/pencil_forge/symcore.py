@@ -380,6 +380,12 @@ def _log_symbol(i: int) -> sp.Symbol:
     return sp.Symbol(f"ln#{i}")
 
 
+def _half_powers(e: sp.Expr) -> list[sp.Pow]:
+    """The powers with half-integer exponent in e, sorted."""
+    pows = (p for p in e.atoms(sp.Pow) if isinstance(p.exp, sp.Rational) and p.exp.q == 2)
+    return sorted(pows, key=sp.default_sort_key)
+
+
 def _sympy_fraction(
     p: PolyElement, q: PolyElement, unmask: dict
 ) -> tuple[sp.Expr, sp.Expr]:
@@ -405,7 +411,11 @@ def _sympy_fraction(
 def _normalize(raw: sp.Expr, ctx: Context) -> _NormalForm:
     if raw.has(sp.zoo, sp.oo, sp.nan):
         raise NormalizationError("division by zero or undefined constant")
-    e = sp.together(raw)
+    # together would pull a radicand's content out of the root (sqrt(5*u + 10)
+    # -> sqrt(5)*sqrt(u + 2)), so the half-integer powers pass through it as
+    # placeholders, named like _RADICAL below
+    halves = {p: sp.Symbol(f"half#{i}") for i, p in enumerate(_half_powers(raw))}
+    e = sp.together(raw.xreplace(halves)).xreplace({h: p for p, h in halves.items()})
 
     # -- pull out logarithm atoms (before radicals; their arguments are
     #    required to be rational) ------------------------------------------
@@ -430,15 +440,12 @@ def _normalize(raw: sp.Expr, ctx: Context) -> _NormalForm:
         e = e.xreplace(repl)
 
     # -- pull out square roots ------------------------------------------
-    half_pows = [
-        p for p in e.atoms(sp.Pow)
-        if isinstance(p.exp, sp.Rational) and p.exp.q == 2
-    ]
+    half_pows = _half_powers(e)
     radicand: sp.Expr | None = None
     t = _RADICAL
     if half_pows:
         repl = {}
-        for p in sorted(half_pows, key=sp.default_sort_key):
+        for p in half_pows:
             coeff, core = _canonical_radicand(p.base)
             k = int(p.exp * 2)  # odd integer
             if core == 0:

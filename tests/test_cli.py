@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pencil_forge import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 NONFLAT_CASE = {
@@ -65,6 +70,41 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["case"] == "g6"
         assert payload["passed"] is True
+
+    def test_non_symmetric_metric_reports_failure(self, tmp_path, capsys):
+        data = dict(NONFLAT_CASE)
+        data["metric"] = [["1", "u"], ["0", "1"]]
+        path = tmp_path / "nonsym.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["passed"] is False
+        assert payload["checks"][-1] == {"name": "metric_symmetric", "status": "fail"}
+
+
+class TestBrokenPipe:
+    # the reading end of stdout is closed before the program starts, so
+    # the first write (or the final flush, when stdout is buffered) fails
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "list"], ["verify", "g1", "--format", "json"],
+    ])
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_reader_exits_quietly(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pencil_forge.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr.decode()
+        assert proc.stderr == b""
+        assert proc.returncode == 141
 
 
 class TestRecursion:

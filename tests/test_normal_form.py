@@ -5,6 +5,7 @@ them, and inputs outside the supported class must be rejected."""
 import pytest
 import sympy as sp
 
+from pencil_forge import catalog as cat
 from pencil_forge import symcore as sc
 
 
@@ -55,9 +56,10 @@ class TestCancelConvention:
 
 class TestRejection:
     @pytest.mark.parametrize("text", [
-        "sqrt(sqrt(u))",   # u^(1/4): nested radical
-        "ln(-1)",          # I*pi
-        "sqrt(-4) + u",    # 2*I + u
+        "sqrt(sqrt(u))",      # u^(1/4): nested radical
+        "ln(sqrt(5*u+10))",   # radical inside a logarithm
+        "ln(-1)",             # I*pi
+        "sqrt(-4) + u",       # 2*I + u
     ])
     def test_non_rational_input_rejected(self, ctx, text):
         with pytest.raises(sc.NormalizationError):
@@ -70,3 +72,23 @@ class TestRejection:
     def test_mixed_log_powers_rejected(self, ctx):
         with pytest.raises(sc.NonlinearLogarithmError):
             sc.is_zero(ctx.parse("ln(u)*ln(v) + ln(u)"))
+
+
+class TestRadicandContent:
+    # sympy.together pulls rational content out of a square root
+    # (sqrt(5*u + 10) -> sqrt(5)*sqrt(u + 2)); the root must stay whole
+    def test_root_with_content_is_nonzero(self, ctx):
+        assert not sc.is_zero(ctx.parse("sqrt(5*u+10)"))
+
+    def test_square_of_root_with_content_cancels(self, ctx):
+        assert sc.is_zero(ctx.parse("sqrt(5*u+10)^2 - 5*u - 10"))
+
+    def test_root_with_content_in_a_quotient(self, ctx):
+        assert sc.is_zero(ctx.parse("1/sqrt(5*u+10) - sqrt(5*u+10)/(5*u+10)"))
+
+    def test_specialized_g9_passes(self):
+        case = cat.builtin_case("g9").specialize(
+            {"alpha": "-2/3", "beta": "-8/7", "gamma": "1", "eps2": "2"}
+        )
+        report = cat.verify_case(case)
+        assert report.passed, report.to_dict()
