@@ -193,7 +193,7 @@ def _lower_connection(op) -> tuple:
 
 
 def _backwards(n: int, rank: int):
-    """Index tuples in reverse lexicographic order: the witness is the last."""
+    """Index tuples in reverse lexicographic order, so a scan names the last nonzero."""
     return product(range(n - 1, -1, -1), repeat=rank)
 
 
