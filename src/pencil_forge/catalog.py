@@ -116,6 +116,9 @@ class CaseRecord:
         self.n = data["n"]
         self._ctx: Context | None = None
         self._metric: Metric | None = None
+        self._isometry: VectorField | None = None
+        self._epsilon: Expr | None = None
+        self._c: Expr | None = None
         self._operator: NonlocalIsometryOp | None = None
         self._eta: ConstantOp | None = None
 
@@ -155,14 +158,22 @@ class CaseRecord:
         return self._metric
 
     def isometry(self) -> VectorField:
-        ctx = self.context()
-        return VectorField(tuple(ctx.parse(t) for t in self.data["isometry"]))
+        if self._isometry is None:
+            ctx = self.context()
+            self._isometry = VectorField(
+                tuple(ctx.parse(t) for t in self.data["isometry"])
+            )
+        return self._isometry
 
     def epsilon(self) -> Expr:
-        return self.context().parse(self.data.get("epsilon", "1"))
+        if self._epsilon is None:
+            self._epsilon = self.context().parse(self.data.get("epsilon", "1"))
+        return self._epsilon
 
     def c(self) -> Expr:
-        return self.context().parse(self.data.get("c", "0"))
+        if self._c is None:
+            self._c = self.context().parse(self.data.get("c", "0"))
+        return self._c
 
     def operator(self) -> NonlocalIsometryOp:
         if self._operator is None:

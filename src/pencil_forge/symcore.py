@@ -408,7 +408,18 @@ def _sympy_fraction(
     return num, den
 
 
-def _normalize(raw: sp.Expr, ctx: Context) -> _NormalForm:
+# Distinct expression trees kept by the normal-form and oracle memos below.
+# A catalog case meets a few hundred; sympy trees compare and hash
+# structurally, so equal trees built apart share one entry.
+_MEMO_TREES = 2048
+
+
+@functools.lru_cache(maxsize=_MEMO_TREES)
+def _normalize(raw: sp.Expr) -> _NormalForm:
+    """The normal form of raw, a function of the tree alone.  Memoized: a
+    run zero-tests and rebuilds the same trees many times, and the frozen
+    result can be shared.  A NormalizationError is raised again on every
+    call, since lru_cache stores only returned values."""
     if raw.has(sp.zoo, sp.oo, sp.nan):
         raise NormalizationError("division by zero or undefined constant")
     # together would pull a radicand's content out of the root (sqrt(5*u + 10)
@@ -571,7 +582,7 @@ class Expr:
     def normal_form(self) -> _NormalForm:
         nf = object.__getattribute__(self, "_nf")
         if nf is None:
-            nf = _normalize(self.raw, self.ctx)
+            nf = _normalize(self.raw)
             object.__setattr__(self, "_nf", nf)
         return nf
 
@@ -1104,7 +1115,8 @@ class _ProbeState:
 
     def check(self, e: Expr, claimed_zero: bool):
         self.checked += 1
-        verdict = _probe_expression(e, self.points)
+        assumption_raws = tuple(a.raw for a in e.ctx.assumptions)
+        verdict = _probe_expression(e.raw, assumption_raws, self.points)
         if verdict is None:
             return
         if verdict != claimed_zero:
@@ -1126,11 +1138,13 @@ def _probe_state() -> _ProbeState:
 def set_probe_points(n: int):
     global _STATE
     _STATE = _ProbeState(n)
+    _probe_expression.cache_clear()
 
 
 def reset_probe_state():
     global _STATE
     _STATE = None
+    _probe_expression.cache_clear()
 
 
 def probe_report() -> tuple[int, list[str]]:
@@ -1138,14 +1152,19 @@ def probe_report() -> tuple[int, list[str]]:
     return state.checked, list(state.disagreements)
 
 
-def _probe_expression(e: Expr, points: int) -> bool | None:
-    """Returns True if e evaluates to zero at all sampled points, False if
-    some point is clearly nonzero, None when evaluation keeps failing."""
-    raw = e.raw
-    repl = {}
-    for a in sorted(raw.atoms(AppliedUndef), key=sp.default_sort_key):
-        repl[a] = sp.Dummy(a.func.__name__.replace("'", "p"))
-    masked = raw.xreplace(repl)
+@functools.lru_cache(maxsize=_MEMO_TREES)
+def _probe_expression(
+    raw: sp.Expr, assumption_raws: tuple[sp.Expr, ...], points: int
+) -> bool | None:
+    """Returns True if raw evaluates to zero at all sampled points, False if
+    some point is clearly nonzero, None when evaluation keeps failing.
+    Points where an assumption (a raw tree) vanishes are skipped.
+
+    The sample points are seeded from the tree alone, so the verdict is a
+    function of the arguments and is memoized: each distinct tree is
+    evaluated once per process.  The assumptions enter as raw trees, not
+    as Expr objects, whose hash would normalize them."""
+    masked = raw.xreplace({a: sp.Symbol(str(a)) for a in raw.atoms(AppliedUndef)})
     syms = sorted(masked.free_symbols, key=lambda s: s.name)
     if not syms:
         syms = [sp.Dummy("unused")]
@@ -1155,12 +1174,12 @@ def _probe_expression(e: Expr, points: int) -> bool | None:
         return None
     assumption_fns = []
     sym_set = set(syms)
-    for a in e.ctx.assumptions:
-        a_free = a.raw.free_symbols
+    for a in assumption_raws:
+        a_free = a.free_symbols
         if a_free and a_free <= sym_set:
             asyms = sorted(a_free, key=lambda s: s.name)
             assumption_fns.append(
-                (asyms, sp.lambdify(asyms, a.raw, modules="mpmath"))
+                (asyms, sp.lambdify(asyms, a, modules="mpmath"))
             )
     seed = int(hashlib.sha256(sp.srepr(masked).encode()).hexdigest()[:12], 16)
     rng = random.Random(seed)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from pencil_forge import catalog as cat
 from pencil_forge import cli
+from pencil_forge import symcore as sc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,6 +84,22 @@ class TestVerify:
         payload = json.loads(captured.out)
         assert payload["passed"] is False
         assert payload["checks"][-1] == {"name": "metric_symmetric", "status": "fail"}
+
+    def test_case_file_text_parsed_once(self, tmp_path, monkeypatch, capsys):
+        # g7 without reference tables: 4 metric entries, 2 isometry
+        # components, epsilon, c and one assumption are 9 texts
+        data = dict(cat.builtin_case("g7").data)
+        data.pop("references")
+        path = tmp_path / "g7.json"
+        path.write_text(json.dumps(data))
+        parsed = []
+        parse = sc.Context.parse
+        monkeypatch.setattr(
+            sc.Context, "parse", lambda ctx, text: parsed.append(text) or parse(ctx, text)
+        )
+        assert cli.main(["verify", str(path)]) == 0
+        assert "case g7: PASS" in capsys.readouterr().out
+        assert len(parsed) == 9
 
 
 class TestBrokenPipe:

@@ -1,6 +1,7 @@
 """Kernel tests: grammar, normal form, calculus, zero test, probes."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,15 @@ class TestNormalization:
             n2 = n1.normalized()
             assert n1 == n2
 
+    def test_equal_trees_share_one_normal_form(self, ctx):
+        text = "(u^2 - v^2)/(u - v) + sqrt(4*u^2*v)"
+        assert ctx.parse(text).normal_form() is ctx.parse(text).normal_form()
+
+    def test_rejection_raises_on_every_call(self, ctx):
+        for _ in range(3):
+            with pytest.raises(sc.NormalizationError):
+                ctx.parse("u/((u+v)^2 - u^2 - 2*u*v - v^2)").normal_form()
+
     def test_division_by_zero_rejected(self, ctx):
         with pytest.raises(sc.NormalizationError):
             sc.is_zero(ctx.parse("1/0"))
@@ -295,6 +305,40 @@ class TestProbes:
         checked, disagreements = sc.probe_report()
         assert checked == 1
         assert disagreements == []
+
+    def test_repeated_zero_tests_all_count(self, ctx, monkeypatch):
+        sc.set_probe_points(100)
+        for _ in range(3):
+            assert sc.is_zero(ctx.parse("(u+v)^2 - u^2 - 2*u*v - v^2"))
+        assert sc.probe_report() == (3, [])
+        # a normal form that wrongly claims zero meets the memoized verdict
+        # on every zero test, and every one records the disagreement
+        monkeypatch.setattr(sc, "_normalize", lambda raw: sc._NormalForm(None, ()))
+        for _ in range(2):
+            assert sc.is_zero(ctx.parse("u - v"))
+        checked, disagreements = sc.probe_report()
+        assert checked == 5
+        assert len(disagreements) == 2
+
+    def test_function_atom_points_repeat_after_reset(self, gctx, monkeypatch):
+        seeds = []
+
+        class Recorder(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(sc, "random", types.SimpleNamespace(Random=Recorder))
+        verdicts = []
+        for _ in range(2):
+            sc.reset_probe_state()
+            raw = gctx.parse("gamma'(w)*v + gamma(w)").raw
+            verdicts.append(sc._probe_expression(raw, (), 100))
+        assert verdicts == [False, False]
+        assert len(seeds) == 2 and seeds[0] == seeds[1]
+        # without a reset the verdict comes from the memo, drawing no points
+        assert sc._probe_expression(raw, (), 100) is False
+        assert len(seeds) == 2
 
     def test_exact_rational_evaluation_matches(self, ctx):
         # direct Fraction evaluation as a second, probe-independent angle
