@@ -9,7 +9,9 @@ density, and list or export the builtin catalog.  Reports go to stdout
 closed before the whole report was written, as when a pipe's reader exits.
 
 The environment variable PENCIL_FORGE_PROBES (an integer point count)
-enables the numeric safety oracle behind every zero test.
+enables the numeric safety oracle behind every zero test.  The oracle
+evaluates each distinct expression tree once per process and reuses its
+verdict for every later zero test of an equal tree.
 """
 
 from __future__ import annotations

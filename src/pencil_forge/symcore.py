@@ -23,6 +23,15 @@ expanded sympy numerator and denominator.  Square-free decomposition of
 radicands still goes through sympy.sqf_list, memoized per radicand.  The
 grammar, the normal form and the decision procedures here are
 self-contained.
+
+The normal form and the numeric oracle's verdict are pure functions of
+the expression tree (sympy trees hash and compare structurally), so both
+are memoized process-wide in bounded caches: each distinct tree is
+normalized once and, with probes on, evaluated by the oracle once per
+process, at sample points seeded from the tree alone.  Every zero test
+still counts in probe_report(), and a disagreement is recorded on every
+zero test that meets it.  set_probe_points() and reset_probe_state()
+clear the verdict memo.
 """
 
 from __future__ import annotations
