@@ -1,22 +1,38 @@
 """Compatibility of metric pairs and the bi-Hamiltonian pair criterion.
 
 A pair (g, gt) is almost compatible when the Levi-Civita symbols of
-g + lambda*gt are affine in lambda, and compatible when additionally the
-curvature splits, R_lambda = R + lambda*Rt, identically in lambda.  The
-parameter lambda is adjoined to the context as an ordinary symbol, so the
-"for every lambda" statements are decided exactly on rational functions
-of lambda.
+g + lambda*gt are affine in lambda, Gamma + lambda*Gammat, and compatible
+when additionally the curvature splits, R_lambda = R + lambda*Rt,
+identically in lambda.  The parameter lambda is adjoined to the context as
+an ordinary symbol, so the "for every lambda" statements are decided
+exactly on rational functions of lambda.
+
+Almost-compatibility is decided without the connection of g + lambda*gt
+(Mokhov, Compatible and almost compatible pseudo-Riemannian metrics,
+Funct. Anal. Appl. 35, 2001).  The raised symbols Gamma + lambda*Gammat
+satisfy the metric condition d_k G^{ij} = Gamma^{ij}_k + Gamma^{ji}_k of
+G = g + lambda*gt for every lambda, since it is linear; for nondegenerate
+G the Levi-Civita symbols are its unique solution that also satisfies
+G^{is} Gamma^{jk}_s = G^{js} Gamma^{ik}_s.  The lambda^0 and lambda^2
+parts of that symmetry hold for g and gt on their own, so the pair is
+almost compatible exactly when the lambda^1 part vanishes:
+
+    T^{ijk} = g^{is} Gammat^{jk}_s + gt^{is} Gamma^{jk}_s - (i <-> j) = 0.
 
 For a pair (eta*d_x, B) with B a nonlocal isometry extension and c = 0,
 the pair is bi-Hamiltonian iff eta and the leading metric of B are
-compatible and the isometry is Killing for both leading coefficients.
+compatible and the isometry is Killing for both leading coefficients
+(Mokhov-Ferapontov 1990).
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import diffgeo as dg
 from . import symcore as sc
 from .diffgeo import Metric
+from .symcore import Expr
 from .operators import CheckItem, ConstantOp, NonlocalIsometryOp, ValidationReport, killing_item
 
 __all__ = [
@@ -73,29 +89,38 @@ class Pencil:
 
 
 def almost_compatible(g: Metric, gt: Metric) -> bool:
-    """Levi-Civita symbols of g + lambda*gt equal Gamma + lambda*Gammat."""
+    """Levi-Civita symbols of g + lambda*gt equal Gamma + lambda*Gammat.
+
+    Decided by Mokhov's identity T^{ijk} = g^{is} Gammat^{jk}_s
+    + gt^{is} Gamma^{jk}_s - (i <-> j) = 0 for i < j, from the connections
+    of g and gt alone (see the module docstring); raises
+    DegeneratePencilError when det(g + lambda*gt) vanishes identically.
+    """
     pencil = Pencil(g, gt)
     return _almost(pencil)
 
 
 def _almost(pencil: Pencil) -> bool:
     n = pencil.n
-    conn_l = dg.levi_civita(pencil.combined).raised
+    g, gt = pencil.g.entries, pencil.gt.entries
     conn_g = dg.levi_civita(pencil.g).raised
     conn_t = dg.levi_civita(pencil.gt).raised
-    return all(
-        sc.is_zero(conn_l[i][j][k] - conn_g[i][j][k] - pencil.lam * conn_t[i][j][k])
-        for i in range(n) for j in range(n) for k in range(n)
-    )
+
+    def torsion(i: int, j: int, k: int) -> Expr:
+        return dg.contract(pencil.ctx, n, lambda s: (
+            g[i][s] * conn_t[j][k][s] + gt[i][s] * conn_g[j][k][s]
+            - g[j][s] * conn_t[i][k][s] - gt[j][s] * conn_g[i][k][s]
+        ))
+
+    upper = ((i, j, k) for i, j, k in product(range(n), repeat=3) if i < j)
+    return dg.first_nonzero(upper, torsion) is None
 
 
 def _connection_vanishes(g: Metric) -> bool:
     conn = dg.levi_civita(g).raised
-    n = g.n
-    return all(
-        sc.is_zero(conn[i][j][k])
-        for i in range(n) for j in range(n) for k in range(n)
-    )
+    return dg.first_nonzero(
+        product(range(g.n), repeat=3), lambda i, j, k: conn[i][j][k]
+    ) is None
 
 
 def compatible(g: Metric, gt: Metric) -> bool:
@@ -118,16 +143,15 @@ def compatible(g: Metric, gt: Metric) -> bool:
         curv = dg.riemann(pencil.g)
         # flat, or the lambda-part gt^{is} R^j_{skl} of the raised pencil
         # curvature vanishes
-        return curv.first_nonzero() is None or all(
-            sc.is_zero(curv.raised_component(pencil.gt, *index)) for index in indices
-        )
+        return curv.first_nonzero() is None or dg.first_nonzero(
+            indices, lambda i, j, k, l: curv.raised_component(pencil.gt, i, j, k, l)
+        ) is None
     curv_l = dg.riemann(pencil.combined).raised
     curv_g = dg.riemann(pencil.g).raised
     curv_t = dg.riemann(pencil.gt).raised
-    return all(
-        sc.is_zero(curv_l[i][j][k][l] - curv_g[i][j][k][l] - pencil.lam * curv_t[i][j][k][l])
-        for i, j, k, l in indices
-    )
+    return dg.first_nonzero(indices, lambda i, j, k, l: (
+        curv_l[i][j][k][l] - curv_g[i][j][k][l] - pencil.lam * curv_t[i][j][k][l]
+    )) is None
 
 
 def pair_check(A: ConstantOp, B: NonlocalIsometryOp) -> ValidationReport:

@@ -719,6 +719,9 @@ def ln(e: Expr) -> Expr:
 # Parser
 
 _FUNCS = ("sqrt", "ln")
+# largest |n| accepted in "^n": the catalog needs 6; (u+v)^100000 would
+# otherwise reach normalization and run without bound
+_MAX_EXPONENT = 64
 
 
 class _Token:
@@ -839,6 +842,11 @@ class _Parser:
                 neg = True
             tok = self.expect("num")
         value = int(tok.text)
+        if value > _MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {'-' if neg else ''}{value} exceeds {_MAX_EXPONENT}"
+                " in absolute value", tok.pos,
+            )
         return sp.Integer(-value if neg else value)
 
     def atom(self) -> sp.Expr:

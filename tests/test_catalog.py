@@ -91,7 +91,7 @@ class TestOneOperatorPerCase:
         assert case.eta() is case.eta()
         assert cat._bind_operator(case, None) is case.operator()
 
-    def test_g3_computes_three_connections(self, monkeypatch):
+    def test_g3_computes_two_connections(self, monkeypatch):
         computed = []
         levi_civita = dg.levi_civita
 
@@ -103,8 +103,9 @@ class TestOneOperatorPerCase:
         monkeypatch.setattr(dg, "levi_civita", counting)
         case = cat.builtin_case("g3")
         assert cat.verify_case(case).passed
-        # the case metric, eta and the pencil g + lambda*eta
-        assert len(computed) == 3
+        # the case metric and eta; almost-compatibility needs no connection
+        # of the pencil g + lambda*eta
+        assert len(computed) == 2
         assert computed[0] is case.metric()
 
 

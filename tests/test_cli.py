@@ -102,6 +102,27 @@ class TestVerify:
         assert len(parsed) == 9
 
 
+class TestHostileInput:
+    def test_huge_exponent_exits_two_quickly(self, tmp_path):
+        # without the parse-time cap, normalizing this entry does not end
+        data = dict(NONFLAT_CASE)
+        data["metric"] = [["(u+v)^100000 - 1", "0"], ["0", "1"]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pencil_forge.cli", "verify", str(path)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert "exponent 100000 exceeds 64" in lines[0]
+        assert "column 7" in lines[0]
+
+
 class TestBrokenPipe:
     # the reading end of stdout is closed before the program starts, so
     # the first write (or the final flush, when stdout is buffered) fails

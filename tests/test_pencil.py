@@ -45,6 +45,49 @@ class TestAlmostCompatible:
             pc.almost_compatible(g, gt)
 
 
+def _almost_by_pencil_connection(g, gt):
+    """The definition: the symbols of g + lam*gt equal Gamma + lam*Gammat."""
+    pencil = pc.Pencil(g, gt)
+    n = pencil.n
+    conn_l = dg.levi_civita(pencil.combined).raised
+    conn_g = dg.levi_civita(g).raised
+    conn_t = dg.levi_civita(gt).raised
+    return all(
+        sc.is_zero(conn_l[i][j][k] - conn_g[i][j][k] - pencil.lam * conn_t[i][j][k])
+        for i in range(n) for j in range(n) for k in range(n)
+    )
+
+
+G1 = [["alpha/v", "beta"], ["beta", "v"]]
+
+
+class TestAlmostCompatibleIdentity:
+    # neither member is constant, so no term of the identity drops out
+    @pytest.mark.parametrize("rows, rows_t, expected", [
+        ([["u", "0"], ["0", "1"]], [["1", "0"], ["0", "v"]], True),
+        ([["u", "0"], ["0", "1"]], [["v", "0"], ["0", "1"]], False),
+        (G1, [["2*alpha/v", "2*beta"], ["2*beta", "2*v"]], True),
+        (G1, [["u", "0"], ["0", "u"]], False),
+        ([["u^2", "0"], ["0", "v^2"]], [["u", "0"], ["0", "v"]], True),
+        ([["u*v", "1"], ["1", "u"]], [["v", "u"], ["u", "1"]], False),
+        ([["0", "u"], ["u", "v"]], [["0", "1"], ["1", "0"]], True),
+    ])
+    def test_agrees_with_pencil_connection(self, actx, rows, rows_t, expected):
+        def metric(entries):
+            return dg.Metric(actx, [[actx.parse(e) for e in row] for row in entries])
+
+        assert pc.almost_compatible(metric(rows), metric(rows_t)) is expected
+        assert _almost_by_pencil_connection(metric(rows), metric(rows_t)) is expected
+
+    def test_pencil_connection_not_computed(self, actx):
+        P = actx.parse
+        g = dg.Metric(actx, [[P(e) for e in row] for row in G1])
+        pencil = pc.Pencil(eta_metric(actx), g)
+        assert pc._almost(pencil)
+        assert pencil.combined._connection is None
+        assert g._connection is not None
+
+
 class TestCompatible:
     def test_eta_with_itself(self, actx):
         assert pc.compatible(eta_metric(actx), eta_metric(actx))

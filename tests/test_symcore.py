@@ -41,6 +41,18 @@ class TestParse:
             ctx.parse("a/(v")
         assert exc.value.position == 4
 
+    @pytest.mark.parametrize("text, position", [
+        ("(u+v)^100000 - 1", 7), ("u^(-65)", 5), ("u^-65", 4),
+    ])
+    def test_exponent_cap_position(self, ctx, text, position):
+        with pytest.raises(sc.ParseError) as exc:
+            ctx.parse(text)
+        assert exc.value.position == position
+        assert "exceeds 64" in str(exc.value)
+
+    def test_exponent_at_cap_parses(self, ctx):
+        assert ctx.parse("u^64*u^(-64)").equals(ctx.number(1))
+
     def test_unknown_symbol_named(self, ctx):
         with pytest.raises(sc.UnknownSymbolError) as exc:
             ctx.parse("u + q")
