@@ -32,8 +32,8 @@ from itertools import product
 from . import diffgeo as dg
 from . import symcore as sc
 from .diffgeo import Metric
-from .symcore import Expr
 from .operators import CheckItem, ConstantOp, NonlocalIsometryOp, ValidationReport, killing_item
+from .symcore import Expr
 
 __all__ = [
     "DegeneratePencilError",

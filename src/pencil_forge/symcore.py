@@ -767,8 +767,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive descent over: sums, products, unary minus, integer powers,
-    sqrt/ln and declared function-atom applications."""
+    """Recursive descent over: sums, products, unary minus, integer powers
+    of absolute value at most _MAX_EXPONENT, sqrt/ln and declared
+    function-atom applications."""
 
     def __init__(self, text: str, ctx: Context):
         self.tokens = _tokenize(text)
@@ -841,13 +842,12 @@ class _Parser:
                 self.next()
                 neg = True
             tok = self.expect("num")
-        value = int(tok.text)
-        if value > _MAX_EXPONENT:
+        value = -int(tok.text) if neg else int(tok.text)
+        if abs(value) > _MAX_EXPONENT:
             raise ParseError(
-                f"exponent {'-' if neg else ''}{value} exceeds {_MAX_EXPONENT}"
-                " in absolute value", tok.pos,
+                f"exponent {value} exceeds {_MAX_EXPONENT} in absolute value", tok.pos
             )
-        return sp.Integer(-value if neg else value)
+        return sp.Integer(value)
 
     def atom(self) -> sp.Expr:
         tok = self.peek()

@@ -71,6 +71,8 @@ class TestAlmostCompatibleIdentity:
         ([["u^2", "0"], ["0", "v^2"]], [["u", "0"], ["0", "v"]], True),
         ([["u*v", "1"], ["1", "u"]], [["v", "u"], ["u", "1"]], False),
         ([["0", "u"], ["u", "v"]], [["0", "1"], ["1", "0"]], True),
+        # the identity holds at k = 1 and fails only at k = 2
+        ([["1", "0"], ["0", "u"]], [["1", "0"], ["0", "v"]], False),
     ])
     def test_agrees_with_pencil_connection(self, actx, rows, rows_t, expected):
         def metric(entries):
