@@ -152,10 +152,10 @@ class Metric:
 
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
-            self._symmetric = all(
-                sc.is_zero(self.entries[i][j] - self.entries[j][i])
-                for i in range(self.n) for j in range(i + 1, self.n)
-            )
+            self._symmetric = first_nonzero(
+                ((i, j) for i in range(self.n) for j in range(i + 1, self.n)),
+                lambda i, j: self.entries[i][j] - self.entries[j][i],
+            ) is None
         return self._symmetric
 
     def is_degenerate(self) -> bool:

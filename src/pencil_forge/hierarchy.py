@@ -304,10 +304,10 @@ def commute_check(F1: QuasilinearFlow, F2: QuasilinearFlow) -> bool:
     e2 = [F2.component(i) for i in range(n)]
     dxe1 = [sc.total_x_derivative(e) for e in e1]
     dxe2 = [sc.total_x_derivative(e) for e in e2]
-    return all(sc.is_zero(contract(ctx, n, lambda k: (
+    return first_nonzero(((i,) for i in range(n)), lambda i: contract(ctx, n, lambda k: (
         sc.diff(e2[i], ctx.fields[k]) * e1[k] + F2.V[i][k] * dxe1[k]
         - sc.diff(e1[i], ctx.fields[k]) * e2[k] - F1.V[i][k] * dxe2[k]
-    ))) for i in range(n))
+    ))) is None
 
 
 def wdvv_flow(F: Expr, eta: ConstantOp, k: int) -> QuasilinearFlow:

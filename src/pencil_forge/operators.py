@@ -323,13 +323,11 @@ def liouville_potential(op, reference: Sequence[Sequence[Expr]] | None = None):
     r = tensor(n, 2, corrected)
     if reference is not None:
         delta = tensor(n, 2, lambda i, j: (reference[i][j] - r[i][j]).normalized())
-        gauge_ok = all(
-            not delta[i][j].depends_on(name)
-            for i in range(n) for j in range(n) for name in ctx.fields
-        ) and all(
-            sc.is_zero(delta[i][j] + delta[j][i])
-            for i in range(n) for j in range(n)
-        )
+        gauge_ok = first_nonzero(
+            product(range(n), range(n), ctx.fields), lambda i, j, name: sc.diff(delta[i][j], name)
+        ) is None and first_nonzero(
+            product(range(n), repeat=2), lambda i, j: delta[i][j] + delta[j][i]
+        ) is None
         if gauge_ok:
             r = tensor(n, 2, lambda i, j: (r[i][j] + delta[i][j]).normalized())
     return r
@@ -343,14 +341,13 @@ def h_potential_check(op, eta: ConstantOp, H: Sequence[Expr]) -> bool:
     if len(H) != n:
         raise ValueError(f"expected {n} potential components, got {len(H)}")
     dH = tensor(n, 2, lambda j, s: sc.diff(H[j], ctx.fields[s]))
-    return all(
-        sc.is_zero(-op.metric.entries[i][j] + contract(
+    metric_ok = first_nonzero(product(range(n), repeat=2), lambda i, j: (
+        -op.metric.entries[i][j] + contract(
             ctx, n, lambda s: eta.entries[i][s] * dH[j][s] + eta.entries[j][s] * dH[i][s]
-        ))
-        for i in range(n) for j in range(n)
-    ) and all(
-        sc.is_zero(-op.gamma[i][j][k] + contract(
+        )
+    )) is None
+    return metric_ok and first_nonzero(product(range(n), repeat=3), lambda i, j, k: (
+        -op.gamma[i][j][k] + contract(
             ctx, n, lambda s: eta.entries[i][s] * sc.diff(dH[j][s], ctx.fields[k])
-        ))
-        for i in range(n) for j in range(n) for k in range(n)
-    )
+        )
+    )) is None

@@ -18,8 +18,12 @@ with sympy.together and replaces logarithm atoms and the square root by
 generators.  Rational-function cancellation, the reduction modulo
 t^2 = s of the root generator t and the split into components then run in
 sympy's sparse FracField/PolyRing over QQ in lex order, with function
-atoms as plain generators; each component is converted back to an
-expanded sympy numerator and denominator.  Square-free decomposition of
+atoms as plain generators.  The tree enters that field through
+_field_value: polynomial subtrees are summed and multiplied in the
+PolyRing without any cancellation, and only a node that holds a quotient
+uses field arithmetic, which cancels a GCD after every step.  Each
+component is converted back to an expanded sympy numerator and
+denominator.  Square-free decomposition of
 radicands still goes through sympy.sqf_list, memoized per radicand.  The
 grammar, the normal form and the decision procedures here are
 self-contained.
@@ -40,6 +44,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -50,7 +55,7 @@ import mpmath
 import sympy as sp
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
-from sympy.polys.fields import FracField
+from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import CoercionFailed
 from sympy.polys.polyutils import _sort_gens
@@ -417,6 +422,68 @@ def _sympy_fraction(
     return num, den
 
 
+def _field_value(field: FracField, e: sp.Expr) -> FracElement:
+    """e as an element of field, the value field.from_expr(e) gives, with
+    every cancellation against denominator 1 left out.  Generators and
+    constants are ring elements; a sum or product of polynomials stays in
+    field.ring (a sum accumulates monomial coefficients, so its cost is
+    linear in the terms).  Field arithmetic, which cancels after every
+    step, starts only at a node that holds a quotient; a negative power of
+    a polynomial is built directly in lowest terms, and a zero base raises
+    ZeroDivisionError.  Any other node goes to the domain, whose
+    CoercionFailed marks an input that is not a rational function."""
+    ring = field.ring
+    domain = ring.domain
+    gens = dict(zip(field.symbols, ring.gens))
+
+    def fraction(p: PolyElement) -> FracElement:
+        # what cancel(p, 1) returns: integer coefficients over the positive
+        # lcm of their denominators, which share no factor with them
+        den, num = p.clear_denoms()
+        return field.raw_new(num, ring.ground_new(den))
+
+    def ring_sum(polys: list[PolyElement]) -> PolyElement:
+        total = ring.zero
+        zero = domain.zero
+        for p in polys:
+            for m, c in p.items():
+                c += total.get(m, zero)
+                if c:
+                    total[m] = c
+                else:
+                    del total[m]
+        return total
+
+    def build(node: sp.Expr) -> PolyElement | FracElement:
+        gen = gens.get(node)
+        if gen is not None:
+            return gen
+        if node.is_Add or node.is_Mul:
+            args = [build(a) for a in node.args]
+            polys = [a for a in args if isinstance(a, PolyElement)]
+            if node.is_Add:
+                poly = ring_sum(polys)
+            else:
+                poly = functools.reduce(operator.mul, polys, ring.one)
+            if len(polys) == len(args):
+                return poly
+            op = operator.add if node.is_Add else operator.mul
+            value = functools.reduce(op, (a for a in args if not isinstance(a, PolyElement)))
+            return op(value, poly) if polys else value
+        if node.is_Pow and node.exp.is_Integer:
+            base = build(node.base)
+            k = int(node.exp)
+            if isinstance(base, PolyElement):
+                if k >= 0:
+                    return base**k
+                base = fraction(base)
+            return base**k
+        return ring.ground_new(domain.convert(node))
+
+    value = build(e)
+    return fraction(value) if isinstance(value, PolyElement) else value
+
+
 # Distinct expression trees kept by the normal-form and oracle memos below.
 # A catalog case meets a few hundred; sympy trees compare and hash
 # structurally, so equal trees built apart share one entry.
@@ -499,10 +566,10 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
     rest.difference_update(lead)
     field = FracField(tuple(lead) + _sort_gens(sorted(rest, key=str)), QQ, lex)
     try:
-        value = field.from_expr(e)
+        value = _field_value(field, e)
     except ZeroDivisionError as exc:
         raise NormalizationError("denominator vanishes identically") from exc
-    except (ValueError, CoercionFailed) as exc:
+    except CoercionFailed as exc:
         raise NormalizationError(f"not a rational function: {raw}") from exc
     ring = field.ring
     T = ring.gens[0] if radicand is not None else None
@@ -720,8 +787,34 @@ def ln(e: Expr) -> Expr:
 
 _FUNCS = ("sqrt", "ln")
 # largest |n| accepted in "^n": the catalog needs 6; (u+v)^100000 would
-# otherwise reach normalization and run without bound
+# otherwise reach normalization and run without bound.  The cap also holds
+# for the exponents sympy builds by merging: ((u+v)^64)^64 is (u+v)^4096
 _MAX_EXPONENT = 64
+# largest bit length of a number a power may evaluate to while parsing;
+# ((2^64)^64)^64 would otherwise be computed to 262145 bits
+_MAX_NUMBER_BITS = 1024
+
+
+def _capped(node: sp.Expr, pos: int) -> sp.Expr:
+    """node, unless a power in it or among its factors has an exponent
+    above _MAX_EXPONENT in absolute value; then ParseError at pos."""
+    for p in (node, *node.args) if node.is_Mul else (node,):
+        if p.is_Pow and p.exp.is_Rational and abs(p.exp) > _MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {p.exp} exceeds {_MAX_EXPONENT} in absolute value", pos
+            )
+    return node
+
+
+def _number_bits(base: sp.Expr, k: int) -> int:
+    """An upper bound on the bit length of the numbers base**k evaluates."""
+    bits = 0
+    for factor in sp.Mul.make_args(base):
+        b, e = factor.as_base_exp()
+        if b.is_Rational:
+            size = max(abs(b.p).bit_length(), b.q.bit_length())
+            bits += math.ceil(size * abs(e * k))
+    return bits
 
 
 class _Token:
@@ -769,7 +862,9 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent over: sums, products, unary minus, integer powers
     of absolute value at most _MAX_EXPONENT, sqrt/ln and declared
-    function-atom applications."""
+    function-atom applications.  A power or product whose result holds a
+    larger exponent, or a power that would evaluate a number longer than
+    _MAX_NUMBER_BITS, is rejected where it is built."""
 
     def __init__(self, text: str, ctx: Context):
         self.tokens = _tokenize(text)
@@ -810,9 +905,9 @@ class _Parser:
     def product(self) -> sp.Expr:
         e = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+            op = self.next()
             rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
+            e = _capped(e * rhs if op.kind == "*" else e / rhs, op.pos)
         return e
 
     def unary(self) -> sp.Expr:
@@ -824,8 +919,13 @@ class _Parser:
     def power(self) -> sp.Expr:
         base = self.atom()
         if self.peek().kind == "^":
-            self.next()
-            return base ** self.exponent()
+            op = self.next()
+            k = self.exponent()
+            if _number_bits(base, k) > _MAX_NUMBER_BITS:
+                raise ParseError(
+                    f"number in power exceeds {_MAX_NUMBER_BITS} bits", op.pos
+                )
+            return _capped(base**k, op.pos)
         return base
 
     def exponent(self) -> sp.Integer:

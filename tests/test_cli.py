@@ -103,10 +103,10 @@ class TestVerify:
 
 
 class TestHostileInput:
-    def test_huge_exponent_exits_two_quickly(self, tmp_path):
-        # without the parse-time cap, normalizing this entry does not end
+    @staticmethod
+    def verify_entry(tmp_path, entry):
         data = dict(NONFLAT_CASE)
-        data["metric"] = [["(u+v)^100000 - 1", "0"], ["0", "1"]]
+        data["metric"] = [[entry, "0"], ["0", "1"]]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -119,8 +119,23 @@ class TestHostileInput:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert "exponent 100000 exceeds 64" in lines[0]
-        assert "column 7" in lines[0]
+        return lines[0]
+
+    def test_huge_exponent_exits_two_quickly(self, tmp_path):
+        # without the parse-time cap, normalizing this entry does not end
+        line = self.verify_entry(tmp_path, "(u+v)^100000 - 1")
+        assert "exponent 100000 exceeds 64" in line
+        assert "column 7" in line
+
+    @pytest.mark.parametrize("entry, message, column", [
+        ("((u+v)^64)^64 - 1", "exponent 4096 exceeds 64", 11),
+        ("(u+v)^64*(u+v)^64 - 1", "exponent 128 exceeds 64", 9),
+        ("(((2^64)^64)^64)^64*u", "exceeds 1024 bits", 9),
+    ])
+    def test_built_size_caps_exit_two(self, tmp_path, entry, message, column):
+        line = self.verify_entry(tmp_path, entry)
+        assert message in line
+        assert f"column {column}" in line
 
 
 class TestBrokenPipe:

@@ -4,6 +4,10 @@ them, and inputs outside the supported class must be rejected."""
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import CoercionFailed
 
 from pencil_forge import catalog as cat
 from pencil_forge import symcore as sc
@@ -54,7 +58,65 @@ class TestCancelConvention:
         assert nf.parts == tuple(want)
 
 
+u, v, w = sp.symbols("u v w")
+# a function atom as _normalize masks it: a plain generator named like it
+G12 = sp.Symbol("g12(v)")
+FIELD = FracField((u, v, w, G12), QQ, lex)
+
+
+class TestFieldValue:
+    # sympy's from_expr is the reference here only; the kernel never calls it
+    @pytest.mark.parametrize("e", [
+        1 / (u + 1 / (v + 1 / u)),                       # nested quotients
+        (u - v) ** -3,                                   # negative power of a sum
+        (1 - u) ** -2 * (v - 2 * w) ** -1,
+        (u + v) * (u - v) - u**2 + v**2,                 # coefficients cancel to 0
+        (u + v) * (u - v) - u**2 + v**2 + 1 / w,
+        ((u + 1) / (v - 2)) ** 3,                        # powers of a fraction
+        ((u + 1) / (2 - v)) ** -2,
+        G12 / (1 - u * G12) - G12**2 / 2,                # masked function atoms
+        (u + v) / 3,                                     # rational constant denominator
+        sp.Rational(3, 4) * u**2 / (sp.Rational(2, 5) * v - 6 * w),
+        sp.Rational(-7, 2),
+        u,
+        sp.Integer(0),
+    ])
+    def test_matches_from_expr(self, e):
+        assert sc._field_value(FIELD, e) == FIELD.from_expr(e)
+
+    def test_polynomial_sum_stays_in_ring(self):
+        value = sc._field_value(FIELD, sp.expand((u + v + w + 1) ** 6) / 6)
+        assert value.denom == FIELD.ring(6)
+        assert value.numer == FIELD.ring.from_expr(sp.expand((u + v + w + 1) ** 6))
+
+    def test_zero_base_raises_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            sc._field_value(FIELD, 1 / ((u + 1) ** 2 - u**2 - 2 * u - 1))
+
+    def test_non_rational_node_fails_coercion(self):
+        with pytest.raises(CoercionFailed):
+            sc._field_value(FIELD, u ** sp.Rational(1, 4) + 1)
+
+    def test_normalize_does_not_call_from_expr(self, ctx, monkeypatch):
+        def refuse(self, expr):
+            raise AssertionError("FracField.from_expr called")
+
+        monkeypatch.setattr(FracField, "from_expr", refuse)
+        raw = ctx.parse("(u + sqrt(v))/(u - sqrt(v)) + 1/(u - w)").raw
+        nf = sc._normalize.__wrapped__(raw)
+        assert nf.radicand == v
+        assert len(nf.parts) == 2
+
+
 class TestRejection:
+    @pytest.mark.parametrize("text, message", [
+        ("1/((u+1)^2 - u^2 - 2*u - 1)", "denominator vanishes identically"),
+        ("sqrt(sqrt(u))", "not a rational function"),
+    ])
+    def test_rejection_message(self, ctx, text, message):
+        with pytest.raises(sc.NormalizationError, match=message):
+            sc.is_zero(ctx.parse(text))
+
     @pytest.mark.parametrize("text", [
         "sqrt(sqrt(u))",      # u^(1/4): nested radical
         "ln(sqrt(5*u+10))",   # radical inside a logarithm

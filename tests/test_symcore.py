@@ -53,6 +53,35 @@ class TestParse:
     def test_exponent_at_cap_parses(self, ctx):
         assert ctx.parse("u^64*u^(-64)").equals(ctx.number(1))
 
+    @pytest.mark.parametrize("text, position, exponent", [
+        ("((u+v)^64)^64", 11, 4096),   # nested powers multiply
+        ("(u+v)^64*(u+v)^64", 9, 128),  # sympy merges equal factors
+        ("u^64/u^(-64)", 5, 128),
+        ("(u*v^64)^64", 9, 4096),       # the power distributes over a product
+    ])
+    def test_built_exponent_cap_position(self, ctx, text, position, exponent):
+        with pytest.raises(sc.ParseError) as exc:
+            ctx.parse(text)
+        assert exc.value.position == position
+        assert f"exponent {exponent} exceeds 64" in str(exc.value)
+
+    def test_numeric_tower_rejected_before_evaluation(self, ctx):
+        # the innermost power over the bit cap is rejected, so no 4097-bit
+        # (let alone 262145-bit) integer is built
+        with pytest.raises(sc.ParseError) as exc:
+            ctx.parse("((2^64)^64)^64")
+        assert exc.value.position == 8
+        assert "exceeds 1024 bits" in str(exc.value)
+
+    @pytest.mark.parametrize("text, value", [
+        ("((u+v)^8)^8", "(u+v)^64"),
+        ("2^64*(3*u)^64", "18446744073709551616*3^64*u^64"),
+        ("sqrt(2)^64", "4294967296"),
+        ("(1/2)^64", "1/18446744073709551616"),
+    ])
+    def test_powers_within_caps_parse(self, ctx, text, value):
+        assert ctx.parse(text).equals(ctx.parse(value))
+
     def test_unknown_symbol_named(self, ctx):
         with pytest.raises(sc.UnknownSymbolError) as exc:
             ctx.parse("u + q")
