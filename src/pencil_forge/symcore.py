@@ -13,20 +13,20 @@ logarithm atoms and unevaluated univariate function atoms (with formal
 derivative symbols such as gamma', gamma'') are treated as algebraically
 independent.
 
-Normalization first brings the expression tree over a common denominator
-with sympy.together and replaces logarithm atoms and the square root by
-generators.  Rational-function cancellation, the reduction modulo
-t^2 = s of the root generator t and the split into components then run in
-sympy's sparse FracField/PolyRing over QQ in lex order, with function
-atoms as plain generators.  The tree enters that field through
-_field_value: polynomial subtrees are summed and multiplied in the
-PolyRing without any cancellation, and only a node that holds a quotient
-uses field arithmetic, which cancels a GCD after every step.  Each
-component is converted back to an expanded sympy numerator and
-denominator.  Square-free decomposition of
-radicands still goes through sympy.sqf_list, memoized per radicand.  The
-grammar, the normal form and the decision procedures here are
-self-contained.
+Normalization replaces logarithm atoms and the square root in the
+expression tree by generators.  Rational-function cancellation, the
+reduction modulo t^2 = s of the root generator t and the split into
+components then run in sympy's sparse FracField/PolyRing over QQ in lex
+order, with function atoms as plain generators.  The tree enters that
+field through _field_value, which keeps each node as a polynomial times
+monic bases to signed powers: sums and products are ring arithmetic that
+keeps common factors and denominators factored, as sympy.together would.
+Denominator bases are divided out exactly where they divide, and a single
+GCD cancel at the end leaves the value in lowest terms.  Each component is
+converted back to an expanded sympy numerator and denominator.
+Square-free decomposition of radicands still goes through sympy.sqf_list,
+memoized per radicand.  The grammar, the normal form and the decision
+procedures here are self-contained.
 
 The normal form and the numeric oracle's verdict are pure functions of
 the expression tree (sympy trees hash and compare structurally), so both
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
 import itertools
 import math
 import operator
@@ -394,12 +395,6 @@ def _log_symbol(i: int) -> sp.Symbol:
     return sp.Symbol(f"ln#{i}")
 
 
-def _half_powers(e: sp.Expr) -> list[sp.Pow]:
-    """The powers with half-integer exponent in e, sorted."""
-    pows = (p for p in e.atoms(sp.Pow) if isinstance(p.exp, sp.Rational) and p.exp.q == 2)
-    return sorted(pows, key=sp.default_sort_key)
-
-
 def _sympy_fraction(
     p: PolyElement, q: PolyElement, unmask: dict
 ) -> tuple[sp.Expr, sp.Expr]:
@@ -422,66 +417,108 @@ def _sympy_fraction(
     return num, den
 
 
+def _exact_quotient(n: PolyElement, b: PolyElement) -> PolyElement | None:
+    """n / b if the nonconstant b divides n, else None.  Heap division in
+    lex order (Monagan and Pearce, CASC 2007) on negated monomials: the
+    products of the quotient terms with b's tail wait in a heap, so no step
+    rescans the dividend.  The first term that b's leading monomial does
+    not divide ends it: {b} is a Groebner basis, so no later step cancels
+    a remainder term."""
+    def push(i: int, j: int):
+        heapq.heappush(heap, (tuple(map(operator.add, quo[i][0], tail[j][0])), i, j))
+
+    (lead, lc), *tail = sorted((tuple(-e for e in m), c) for m, c in b.items())
+    terms = sorted((tuple(-e for e in m), c) for m, c in n.items())
+    quo, heap, k = [], [], 0
+    while k < len(terms) or heap:
+        if k < len(terms) and (not heap or terms[k][0] <= heap[0][0]):
+            m, c = terms[k]
+            k += 1
+        else:
+            m, c = heap[0][0], n.ring.domain.zero
+        while heap and heap[0][0] == m:
+            _, i, j = heapq.heappop(heap)
+            c -= quo[i][1] * tail[j][1]
+            if j + 1 < len(tail):
+                push(i, j + 1)
+        if c:
+            quo.append((tuple(map(operator.sub, m, lead)), c / lc))
+            if max(quo[-1][0]) > 0:
+                return None
+            if tail:
+                push(len(quo) - 1, 0)
+    return n.ring.from_dict({tuple(-e for e in m): c for m, c in quo})
+
+
 def _field_value(field: FracField, e: sp.Expr) -> FracElement:
-    """e as an element of field, the value field.from_expr(e) gives, with
-    every cancellation against denominator 1 left out.  Generators and
-    constants are ring elements; a sum or product of polynomials stays in
-    field.ring (a sum accumulates monomial coefficients, so its cost is
-    linear in the terms).  Field arithmetic, which cancels after every
-    step, starts only at a node that holds a quotient; a negative power of
-    a polynomial is built directly in lowest terms, and a zero base raises
-    ZeroDivisionError.  Any other node goes to the domain, whose
-    CoercionFailed marks an input that is not a rational function."""
+    """e as an element of field: the value field.from_expr(e) gives, in the
+    lowest terms PolyElement.cancel writes.  A node is built as (poly,
+    bases): poly times monic bases to signed powers, the factors
+    sympy.together would keep.  Generators are bases, a negative power
+    makes its nonconstant poly a base (a zero poly raises
+    ZeroDivisionError), a product adds exponents, and a sum pulls out each
+    base's least exponent over its terms (0 where absent) and adds the rest
+    in the ring.  Then each denominator base is divided out of the other
+    factors as often as it divides exactly, and one field.new cancels what
+    is left.  Any other node goes to the domain, whose CoercionFailed marks
+    an input that is not a rational function."""
     ring = field.ring
-    domain = ring.domain
+    zero = ring.domain.zero
     gens = dict(zip(field.symbols, ring.gens))
 
-    def fraction(p: PolyElement) -> FracElement:
-        # what cancel(p, 1) returns: integer coefficients over the positive
-        # lcm of their denominators, which share no factor with them
-        den, num = p.clear_denoms()
-        return field.raw_new(num, ring.ground_new(den))
+    def merge(into: dict, bases: dict, k: int = 1) -> dict:
+        for b, j in bases.items():
+            into[b] = into.get(b, 0) + j * k
+            if not into[b]:
+                del into[b]
+        return into
 
-    def ring_sum(polys: list[PolyElement]) -> PolyElement:
-        total = ring.zero
-        zero = domain.zero
-        for p in polys:
-            for m, c in p.items():
-                c += total.get(m, zero)
-                if c:
-                    total[m] = c
-                else:
-                    del total[m]
-        return total
-
-    def build(node: sp.Expr) -> PolyElement | FracElement:
-        gen = gens.get(node)
-        if gen is not None:
-            return gen
-        if node.is_Add or node.is_Mul:
-            args = [build(a) for a in node.args]
-            polys = [a for a in args if isinstance(a, PolyElement)]
-            if node.is_Add:
-                poly = ring_sum(polys)
-            else:
-                poly = functools.reduce(operator.mul, polys, ring.one)
-            if len(polys) == len(args):
-                return poly
-            op = operator.add if node.is_Add else operator.mul
-            value = functools.reduce(op, (a for a in args if not isinstance(a, PolyElement)))
-            return op(value, poly) if polys else value
+    def build(node: sp.Expr) -> tuple[PolyElement, dict]:
+        if node in gens:
+            return ring.one, {gens[node]: 1}
+        if node.is_Mul:
+            poly, bases = ring.one, {}
+            for p, m in map(build, node.args):
+                poly, bases = poly * p, merge(bases, m)
+            return poly, bases
+        if node.is_Add:
+            terms = [build(a) for a in node.args]
+            common = merge({}, {b: min(m.get(b, 0) for _, m in terms)
+                                for b in set().union(*(m for _, m in terms))})
+            total, cofactors = ring.zero, {}
+            for p, m in terms:
+                left = frozenset(merge(dict(m), common, -1).items())
+                if left not in cofactors:
+                    cofactors[left] = functools.reduce(
+                        operator.mul, (b**j for b, j in left), ring.one)
+                for mon, c in (p * cofactors[left]).items():
+                    total[mon] = c = c + total.get(mon, zero)
+                    if not c:
+                        del total[mon]
+            return total, common
         if node.is_Pow and node.exp.is_Integer:
-            base = build(node.base)
-            k = int(node.exp)
-            if isinstance(base, PolyElement):
-                if k >= 0:
-                    return base**k
-                base = fraction(base)
-            return base**k
-        return ring.ground_new(domain.convert(node))
+            (poly, m), k = build(node.base), int(node.exp)
+            bases = merge({}, m, k)
+            if k >= 0:
+                return poly**k, bases
+            if not poly:
+                raise ZeroDivisionError("zero base of a negative power")
+            if not poly.is_ground:
+                merge(bases, {poly.monic(): k})
+            return ring.ground_new(poly.LC**k), bases
+        return ring.ground_new(ring.domain.convert(node)), {}
 
-    value = build(e)
-    return fraction(value) if isinstance(value, PolyElement) else value
+    poly, bases = build(e)
+    if not poly:
+        return field.zero
+    numer = [[poly, 1]] + [[b, k] for b, k in bases.items() if k > 0]
+    den = ring.one
+    for d, k in ((d, -k) for d, k in bases.items() if k < 0):
+        for f in numer:
+            while k >= f[1] and (q := _exact_quotient(f[0], d)) is not None:
+                f[0], k = q, k - f[1]
+        den *= d**k
+    return field.new(functools.reduce(operator.mul, (f**k for f, k in numer)), den)
 
 
 # Distinct expression trees kept by the normal-form and oracle memos below.
@@ -498,11 +535,7 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
     call, since lru_cache stores only returned values."""
     if raw.has(sp.zoo, sp.oo, sp.nan):
         raise NormalizationError("division by zero or undefined constant")
-    # together would pull a radicand's content out of the root (sqrt(5*u + 10)
-    # -> sqrt(5)*sqrt(u + 2)), so the half-integer powers pass through it as
-    # placeholders, named like _RADICAL below
-    halves = {p: sp.Symbol(f"half#{i}") for i, p in enumerate(_half_powers(raw))}
-    e = sp.together(raw.xreplace(halves)).xreplace({h: p for p, h in halves.items()})
+    e = raw
 
     # -- pull out logarithm atoms (before radicals; their arguments are
     #    required to be rational) ------------------------------------------
@@ -527,7 +560,10 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
         e = e.xreplace(repl)
 
     # -- pull out square roots ------------------------------------------
-    half_pows = _half_powers(e)
+    half_pows = sorted(
+        (p for p in e.atoms(sp.Pow) if isinstance(p.exp, sp.Rational) and p.exp.q == 2),
+        key=sp.default_sort_key,
+    )
     radicand: sp.Expr | None = None
     t = _RADICAL
     if half_pows:
@@ -793,17 +829,24 @@ _MAX_EXPONENT = 64
 # largest bit length of a number a power may evaluate to while parsing;
 # ((2^64)^64)^64 would otherwise be computed to 262145 bits
 _MAX_NUMBER_BITS = 1024
+# largest total degree of a parsed node (a sum takes the max, a product
+# or quotient the sum, a power |k| times): ((u+v)^64 + 1)^64 keeps every
+# exponent at 64 but would expand to degree 4096
+_MAX_DEGREE = 128
 
 
-def _capped(node: sp.Expr, pos: int) -> sp.Expr:
-    """node, unless a power in it or among its factors has an exponent
-    above _MAX_EXPONENT in absolute value; then ParseError at pos."""
+def _capped(node: sp.Expr, degree: int, pos: int) -> tuple[sp.Expr, int]:
+    """(node, degree), unless a power in node or among its factors has an
+    exponent above _MAX_EXPONENT in absolute value, or degree is above
+    _MAX_DEGREE; then ParseError at pos."""
     for p in (node, *node.args) if node.is_Mul else (node,):
         if p.is_Pow and p.exp.is_Rational and abs(p.exp) > _MAX_EXPONENT:
             raise ParseError(
                 f"exponent {p.exp} exceeds {_MAX_EXPONENT} in absolute value", pos
             )
-    return node
+    if degree > _MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds {_MAX_DEGREE}", pos)
+    return node, degree
 
 
 def _number_bits(base: sp.Expr, k: int) -> int:
@@ -862,9 +905,11 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent over: sums, products, unary minus, integer powers
     of absolute value at most _MAX_EXPONENT, sqrt/ln and declared
-    function-atom applications.  A power or product whose result holds a
-    larger exponent, or a power that would evaluate a number longer than
-    _MAX_NUMBER_BITS, is rejected where it is built."""
+    function-atom applications.  Each method returns a node with a bound
+    on its total degree (symbols, ln and function atoms count 1, a root
+    its radicand).  A power or product whose result holds a larger
+    exponent or degree, or a power that would evaluate a number longer
+    than _MAX_NUMBER_BITS, is rejected where it is built."""
 
     def __init__(self, text: str, ctx: Context):
         self.tokens = _tokenize(text)
@@ -888,36 +933,38 @@ class _Parser:
         return self.next()
 
     def parse(self) -> sp.Expr:
-        e = self.sum_()
+        e, _ = self.sum_()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
         return e
 
-    def sum_(self) -> sp.Expr:
-        e = self.product()
+    def sum_(self) -> tuple[sp.Expr, int]:
+        e, d = self.product()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            rhs = self.product()
+            rhs, rd = self.product()
             e = e + rhs if op == "+" else e - rhs
-        return e
+            d = max(d, rd)
+        return e, d
 
-    def product(self) -> sp.Expr:
-        e = self.unary()
+    def product(self) -> tuple[sp.Expr, int]:
+        e, d = self.unary()
         while self.peek().kind in ("*", "/"):
             op = self.next()
-            rhs = self.unary()
-            e = _capped(e * rhs if op.kind == "*" else e / rhs, op.pos)
-        return e
+            rhs, rd = self.unary()
+            e, d = _capped(e * rhs if op.kind == "*" else e / rhs, d + rd, op.pos)
+        return e, d
 
-    def unary(self) -> sp.Expr:
+    def unary(self) -> tuple[sp.Expr, int]:
         if self.peek().kind == "-":
             self.next()
-            return -self.unary()
+            e, d = self.unary()
+            return -e, d
         return self.power()
 
-    def power(self) -> sp.Expr:
-        base = self.atom()
+    def power(self) -> tuple[sp.Expr, int]:
+        base, d = self.atom()
         if self.peek().kind == "^":
             op = self.next()
             k = self.exponent()
@@ -925,8 +972,8 @@ class _Parser:
                 raise ParseError(
                     f"number in power exceeds {_MAX_NUMBER_BITS} bits", op.pos
                 )
-            return _capped(base**k, op.pos)
-        return base
+            return _capped(base**k, d * abs(int(k)), op.pos)
+        return base, d
 
     def exponent(self) -> sp.Integer:
         neg = False
@@ -949,11 +996,11 @@ class _Parser:
             )
         return sp.Integer(value)
 
-    def atom(self) -> sp.Expr:
+    def atom(self) -> tuple[sp.Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return sp.Integer(int(tok.text))
+            return sp.Integer(int(tok.text)), 0
         if tok.kind == "(":
             self.next()
             e = self.sum_()
@@ -964,9 +1011,9 @@ class _Parser:
             name = tok.text
             if self.peek().kind == "(":
                 self.next()
-                arg = self.sum_()
+                arg, d = self.sum_()
                 self.expect(")")
-                return self.apply(name, arg, tok.pos)
+                return self.apply(name, arg, tok.pos), (d if name == "sqrt" else 1)
             if name in _FUNCS:
                 raise ParseError(f"{name} requires an argument", tok.pos)
             if "'" in name or self.ctx._base_atom(name) is not None:
@@ -978,7 +1025,7 @@ class _Parser:
                 )
             if not self.ctx.has(name):
                 raise UnknownSymbolError(name, tok.pos)
-            return self.ctx.sym(name)
+            return self.ctx.sym(name), 1
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
     def apply(self, name: str, arg: sp.Expr, pos: int) -> sp.Expr:

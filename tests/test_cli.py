@@ -131,6 +131,7 @@ class TestHostileInput:
         ("((u+v)^64)^64 - 1", "exponent 4096 exceeds 64", 11),
         ("(u+v)^64*(u+v)^64 - 1", "exponent 128 exceeds 64", 9),
         ("(((2^64)^64)^64)^64*u", "exceeds 1024 bits", 9),
+        ("((u+v)^64 + 1)^64 - 1", "degree 4096 exceeds 128", 15),
     ])
     def test_built_size_caps_exit_two(self, tmp_path, entry, message, column):
         line = self.verify_entry(tmp_path, entry)

@@ -97,6 +97,69 @@ class TestFieldValue:
         with pytest.raises(CoercionFailed):
             sc._field_value(FIELD, u ** sp.Rational(1, 4) + 1)
 
+    # bases are kept factored and divided out exactly before one cancel;
+    # these trees exercise what that final step has to get right
+    @pytest.mark.parametrize("e", [
+        # two denominator bases sharing the factor u + v, as in g9
+        u / sp.expand((u + v) * (u - w)) + v / sp.expand((u + v) ** 2 * (v - w)),
+        sp.expand((u + v) * w) / sp.expand((u + v) ** 2 * (v - w))
+        - 1 / sp.expand((u + v) * (u - w)),
+        # a numerator divisible by only part of a base
+        sp.expand((u + v) * w) / sp.expand((u + v) * (u - w)),
+        # bases equal up to a constant factor
+        1 / (u - v) + 1 / (2 * v - 2 * u),
+        (u + w) / (u - v) ** 2 - 3 / (2 * v - 2 * u),
+        # a common numerator factor in every term of a sum
+        u / (v + 1 / (u + w)) + w / (v + 1 / (u + w)),
+        u**2 * v / (w - 1) + u * v**3,
+        # a squared numerator base that a squared denominator base divides
+        1 / ((u + v) ** 2 * (w + 1 / sp.expand((u + v) * (u - w))) ** 2),
+        # a negative power of a sum that holds quotients
+        (u + 1 / v + w / (u - v)) ** -2,
+        (G12 / (1 - u * G12) + 1 / (u + v)) ** -1,
+    ])
+    def test_shared_factors_match_from_expr(self, e):
+        # from_expr inverts without cancelling, so its denominator may lead
+        # with a negative coefficient; compare with its canonical form
+        ref = FIELD.from_expr(e)
+        value = sc._field_value(FIELD, e)
+        assert (value.numer, value.denom) == ref.numer.cancel(ref.denom)
+
+    def test_zero_sum_inside_inverted_node_raises_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            sc._field_value(FIELD, 1 / (u / (u + v) + v / (u + v) - 1))
+
+    def test_exact_quotient_matches_divmod(self):
+        x, y, z, g = FIELD.ring.gens
+        b = x * y**2 + z**5 - 3 * g
+        cases = [
+            ((x**3 * y - 2 * z + 1) * b, b),                     # exact
+            ((x / 2 + QQ(3, 5) * y * g) * (x - y), x - y),       # exact, over QQ
+            (x**5 + y, x + y),                                   # first term left over
+            # the remainder term y^5 shows only after the quotient terms
+            # x^3, x^2*y, ... have been taken
+            ((x + y) * (x**3 + x**2 * y + z * g + 1) + y**5, x + y),
+            (b * b + z, b),
+            ((x + y + z + 1) ** 4, x + y + z + 1),   # many equal products
+            ((x + y + 1) ** 3 + y, x + y + 1),
+            (FIELD.ring.zero, b),
+        ]
+        for n, d in cases:
+            q, r = divmod(n, d)
+            assert sc._exact_quotient(n, d) == (None if r else q)
+
+    def test_normalize_does_not_call_together(self, ctx, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sympy.together called")
+
+        raw = ctx.parse(
+            "(u + sqrt(v))/(u - sqrt(v)) + ln(u/w)/(u - w) + g12(v)/(1 - u*g12'(v))"
+        ).raw
+        monkeypatch.setattr(sp, "together", refuse)
+        nf = sc._normalize.__wrapped__(raw)
+        assert nf.radicand == v
+        assert len(nf.parts) == 3
+
     def test_normalize_does_not_call_from_expr(self, ctx, monkeypatch):
         def refuse(self, expr):
             raise AssertionError("FracField.from_expr called")
@@ -137,8 +200,9 @@ class TestRejection:
 
 
 class TestRadicandContent:
-    # sympy.together pulls rational content out of a square root
-    # (sqrt(5*u + 10) -> sqrt(5)*sqrt(u + 2)); the root must stay whole
+    # a square root keeps its radicand whole: sympy.together, which
+    # normalization no longer calls, turned sqrt(5*u + 10) into
+    # sqrt(5)*sqrt(u + 2); these guard the converter that replaced it
     def test_root_with_content_is_nonzero(self, ctx):
         assert not sc.is_zero(ctx.parse("sqrt(5*u+10)"))
 

@@ -82,6 +82,26 @@ class TestParse:
     def test_powers_within_caps_parse(self, ctx, text, value):
         assert ctx.parse(text).equals(ctx.parse(value))
 
+    @pytest.mark.parametrize("text, position, degree", [
+        ("((u+v)^64 + 1)^64", 15, 4096),        # a sum between two powers
+        ("(u^64 + v)*(v^64 + 1)*w", 22, 129),   # a product adds degrees
+        ("u/(v^2 + w)^64", 2, 129),             # so does a quotient
+        ("sqrt(u^3 + v)^64", 14, 192),          # a root counts its radicand
+    ])
+    def test_degree_cap_position(self, ctx, text, position, degree):
+        with pytest.raises(sc.ParseError) as exc:
+            ctx.parse(text)
+        assert exc.value.position == position
+        assert f"degree {degree} exceeds 128" in str(exc.value)
+
+    @pytest.mark.parametrize("text", [
+        "((u+v)^16 + 1)^8",                     # degree 128
+        "(u^64 + 1)*(v^64 + 1) - 1",
+        "ln((u+v)^64)^64",                      # a logarithm counts 1
+    ])
+    def test_degree_at_cap_parses(self, ctx, text):
+        ctx.parse(text)
+
     def test_unknown_symbol_named(self, ctx):
         with pytest.raises(sc.UnknownSymbolError) as exc:
             ctx.parse("u + q")
