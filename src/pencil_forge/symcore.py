@@ -22,11 +22,28 @@ field through _field_value, which keeps each node as a polynomial times
 monic bases to signed powers: sums and products are ring arithmetic that
 keeps common factors and denominators factored, as sympy.together would.
 Denominator bases are divided out exactly where they divide, and a single
-GCD cancel at the end leaves the value in lowest terms.  Each component is
-converted back to an expanded sympy numerator and denominator.
-Square-free decomposition of radicands still goes through sympy.sqf_list,
-memoized per radicand.  The grammar, the normal form and the decision
-procedures here are self-contained.
+GCD cancel at the end leaves the value in lowest terms; a value with no
+denominator left only has its coefficient denominators cleared.  A
+denominator c*(a + b*t), with c = gcd free of t, is rationalized by
+conjugating a + b*t alone.  Each component is converted back to an
+expanded sympy numerator and denominator.  Square-free decomposition of
+radicands still goes through sympy.sqf_list, memoized per radicand.  The
+grammar, the normal form and the decision procedures here are
+self-contained.
+
+Differentiation builds no derivative tree and normalizes none.  diff and
+total_x_derivative are one derivation D of that ring, fixed by its value
+on generators: D(v) = 1 for the partial derivative in v; D(x) = 1,
+D(u) = u_x and D(u_x) = u_xx for the total x-derivative; and
+D(f^(k)(arg)) = f^(k+1)(arg) * D(arg) on function atoms in both.  D acts
+on the operand's normal form part by part: a rational part n/d by the
+quotient rule (D(n)*d - n*D(d))/d^2, a root part b*sqrt(s) adds
+b*D(s)/(2*s) to itself, and a log part c*ln(L) adds c*D(L)/L to the
+log-free part with the same root.  The terms of each output component are
+summed and brought to lowest terms as _field_value does, with one cancel,
+and emitted as _normalize emits components, so the derivative carries its
+normal form and canonical tree.  An operand free of every symbol D moves
+has derivative 0 at once; other derivatives are memoized per normal form.
 
 The normal form and the numeric oracle's verdict are pure functions of
 the expression tree (sympy trees hash and compare structurally), so both
@@ -450,67 +467,73 @@ def _exact_quotient(n: PolyElement, b: PolyElement) -> PolyElement | None:
     return n.ring.from_dict({tuple(-e for e in m): c for m, c in quo})
 
 
-def _field_value(field: FracField, e: sp.Expr) -> FracElement:
-    """e as an element of field: the value field.from_expr(e) gives, in the
-    lowest terms PolyElement.cancel writes.  A node is built as (poly,
-    bases): poly times monic bases to signed powers, the factors
-    sympy.together would keep.  Generators are bases, a negative power
-    makes its nonconstant poly a base (a zero poly raises
-    ZeroDivisionError), a product adds exponents, and a sum pulls out each
-    base's least exponent over its terms (0 where absent) and adds the rest
-    in the ring.  Then each denominator base is divided out of the other
-    factors as often as it divides exactly, and one field.new cancels what
-    is left.  Any other node goes to the domain, whose CoercionFailed marks
-    an input that is not a rational function."""
-    ring = field.ring
+def _merge(into: dict, bases: dict, k: int = 1) -> dict:
+    """into times bases to the power k, on exponent maps; returns into."""
+    for b, j in bases.items():
+        into[b] = into.get(b, 0) + j * k
+        if not into[b]:
+            del into[b]
+    return into
+
+
+def _node_sum(ring, terms: list) -> tuple[PolyElement, dict]:
+    """The sum of (poly, bases) nodes: each base's least exponent over the
+    terms (0 where absent) is pulled out, so common factors and the common
+    denominator stay factored, and the rest is added in the ring."""
     zero = ring.domain.zero
-    gens = dict(zip(field.symbols, ring.gens))
+    common = _merge({}, {b: min(m.get(b, 0) for _, m in terms)
+                         for b in set().union(*(m for _, m in terms))})
+    total, cofactors = ring.zero, {}
+    for p, m in terms:
+        left = frozenset(_merge(dict(m), common, -1).items())
+        if left not in cofactors:
+            cofactors[left] = functools.reduce(
+                operator.mul, (b**j for b, j in left), ring.one)
+        for mon, c in (p * cofactors[left]).items():
+            total[mon] = c = c + total.get(mon, zero)
+            if not c:
+                del total[mon]
+    return total, common
 
-    def merge(into: dict, bases: dict, k: int = 1) -> dict:
-        for b, j in bases.items():
-            into[b] = into.get(b, 0) + j * k
-            if not into[b]:
-                del into[b]
-        return into
 
-    def build(node: sp.Expr) -> tuple[PolyElement, dict]:
-        if node in gens:
-            return ring.one, {gens[node]: 1}
-        if node.is_Mul:
-            poly, bases = ring.one, {}
-            for p, m in map(build, node.args):
-                poly, bases = poly * p, merge(bases, m)
-            return poly, bases
-        if node.is_Add:
-            terms = [build(a) for a in node.args]
-            common = merge({}, {b: min(m.get(b, 0) for _, m in terms)
-                                for b in set().union(*(m for _, m in terms))})
-            total, cofactors = ring.zero, {}
-            for p, m in terms:
-                left = frozenset(merge(dict(m), common, -1).items())
-                if left not in cofactors:
-                    cofactors[left] = functools.reduce(
-                        operator.mul, (b**j for b, j in left), ring.one)
-                for mon, c in (p * cofactors[left]).items():
-                    total[mon] = c = c + total.get(mon, zero)
-                    if not c:
-                        del total[mon]
-            return total, common
-        if node.is_Pow and node.exp.is_Integer:
-            (poly, m), k = build(node.base), int(node.exp)
-            bases = merge({}, m, k)
-            if k >= 0:
-                return poly**k, bases
-            if not poly:
-                raise ZeroDivisionError("zero base of a negative power")
-            if not poly.is_ground:
-                merge(bases, {poly.monic(): k})
-            return ring.ground_new(poly.LC**k), bases
-        return ring.ground_new(ring.domain.convert(node)), {}
+def _node(ring, gens: dict, node: sp.Expr) -> tuple[PolyElement, dict]:
+    """node as (poly, bases): poly times monic bases to signed powers, the
+    factors sympy.together would keep.  gens maps symbols to generators,
+    which are bases; a negative power makes its nonconstant poly a base (a
+    zero poly raises ZeroDivisionError) and a product adds exponents.  Any
+    other node goes to the domain, whose CoercionFailed marks an input that
+    is not a rational function."""
+    if node in gens:
+        return ring.one, {gens[node]: 1}
+    if node.is_Mul:
+        poly, bases = ring.one, {}
+        for p, m in (_node(ring, gens, a) for a in node.args):
+            poly, bases = poly * p, _merge(bases, m)
+        return poly, bases
+    if node.is_Add:
+        return _node_sum(ring, [_node(ring, gens, a) for a in node.args])
+    if node.is_Pow and node.exp.is_Integer:
+        (poly, m), k = _node(ring, gens, node.base), int(node.exp)
+        bases = _merge({}, m, k)
+        if k >= 0:
+            return poly**k, bases
+        if not poly:
+            raise ZeroDivisionError("zero base of a negative power")
+        if not poly.is_ground:
+            _merge(bases, {poly.monic(): k})
+        return ring.ground_new(poly.LC**k), bases
+    return ring.ground_new(ring.domain.convert(node)), {}
 
-    poly, bases = build(e)
+
+def _lowest_terms(field: FracField, poly: PolyElement, bases: dict) -> FracElement:
+    """The node poly * prod(bases) in lowest terms: each denominator base is
+    divided out of the other factors as often as it divides exactly, and
+    one field.new cancels what is left.  With no denominator left the
+    value is a polynomial, and clearing its coefficient denominators gives
+    what that cancel would."""
     if not poly:
         return field.zero
+    ring = field.ring
     numer = [[poly, 1]] + [[b, k] for b, k in bases.items() if k > 0]
     den = ring.one
     for d, k in ((d, -k) for d, k in bases.items() if k < 0):
@@ -518,7 +541,19 @@ def _field_value(field: FracField, e: sp.Expr) -> FracElement:
             while k >= f[1] and (q := _exact_quotient(f[0], d)) is not None:
                 f[0], k = q, k - f[1]
         den *= d**k
-    return field.new(functools.reduce(operator.mul, (f**k for f, k in numer)), den)
+    numer = functools.reduce(operator.mul, (f**k for f, k in numer))
+    if den == 1:
+        common, numer = numer.clear_denoms()
+        return field.raw_new(numer, ring.ground_new(common))
+    return field.new(numer, den)
+
+
+def _field_value(field: FracField, e: sp.Expr) -> FracElement:
+    """e as an element of field: the value field.from_expr(e) gives, in the
+    lowest terms PolyElement.cancel writes, built by _node and
+    _lowest_terms."""
+    gens = dict(zip(field.symbols, field.ring.gens))
+    return _lowest_terms(field, *_node(field.ring, gens, e))
 
 
 # Distinct expression trees kept by the normal-form and oracle memos below.
@@ -623,9 +658,11 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
             raise NormalizationError("denominator vanishes identically")
         b = den.diff(T)
         if b:
-            a = den - b * T
+            # den = c*(a + b*t) with c = gcd free of t: conjugating only
+            # a + b*t keeps c from being squared
+            c, a, b = (den - b * T).cofactors(b)
             num = (num * (a - b * T)).rem(rule)
-            den = a * a - b * b * S
+            den = c * (a * a - b * b * S)
             if not den:
                 raise NormalizationError(
                     "denominator vanishes after radical conjugation"
@@ -707,10 +744,7 @@ class Expr:
         return c
 
     def normalized(self) -> "Expr":
-        out = Expr(self.ctx, self.canonical)
-        object.__setattr__(out, "_nf", self.normal_form())
-        object.__setattr__(out, "_canonical", self.canonical)
-        return out
+        return _with_normal_form(self.ctx, self.normal_form(), self.canonical)
 
     # -- predicates ---------------------------------------------------------
 
@@ -800,6 +834,14 @@ class Expr:
 
     def __str__(self):
         return render(self)
+
+
+def _with_normal_form(ctx: Context, nf: _NormalForm, canonical: sp.Expr) -> Expr:
+    """Expr of the canonical tree, with its normal form already known."""
+    out = Expr(ctx, canonical)
+    object.__setattr__(out, "_nf", nf)
+    object.__setattr__(out, "_canonical", canonical)
+    return out
 
 
 def _coerce(ctx: Context, value) -> Expr:
@@ -1167,50 +1209,147 @@ def _resolve_symbol(e_ctx: Context, s) -> sp.Symbol:
     raise TypeError(f"cannot interpret {s!r} as a symbol")
 
 
-def _sym_diff(raw: sp.Expr, var: sp.Symbol, ctx: Context) -> sp.Expr:
-    atoms = sorted(raw.atoms(AppliedUndef), key=sp.default_sort_key)
-    if not atoms:
-        return sp.diff(raw, var)
-    repl = {}
-    for a in atoms:
-        info = ctx.classify_atom(a)
-        if info is None:
-            raise NormalizationError(f"undeclared function application {a}")
-        repl[a] = sp.Dummy(a.func.__name__)
-    masked = raw.xreplace(repl)
-    back = {d: a for a, d in repl.items()}
-    total = sp.diff(masked, var)
-    for a, d in repl.items():
-        fa, order = ctx.classify_atom(a)
-        darg = sp.diff(fa.arg, var)
-        if darg == 0:
-            continue
-        total += sp.diff(masked, d) * fa.applied(order + 1) * darg
-    return total.xreplace(back)
+def _ring_poly(ring, index: dict, e: sp.Expr) -> PolyElement:
+    """The expanded polynomial e, whose factors are keys of index (symbols
+    and function atoms to generator positions), as a ring element."""
+    terms = {}
+    for term in sp.Add.make_args(e):
+        coeff, factors = term.as_coeff_mul()
+        monom = [0] * ring.ngens
+        for f in factors:
+            base, k = f.as_base_exp()
+            monom[index[base]] += int(k)
+        terms[tuple(monom)] = QQ(coeff.p, coeff.q)
+    return ring.from_dict(terms)
+
+
+def _poly_derivative(dgens: dict, p: PolyElement) -> list:
+    """D(p) as a list of (poly, bases) nodes, where dgens maps generator
+    positions to the nonzero nodes D(generator)."""
+    return [(dp * q, m) for i, (q, m) in dgens.items() if (dp := p.diff(i))]
+
+
+def _derivative_terms(dgens: dict, node: tuple) -> list:
+    """D(poly * prod b^k) = D(poly) * prod b^k + poly * sum k D(b)/b * prod b^k,
+    as a list of nodes."""
+    poly, bases = node
+    terms = [(q, _merge(dict(bases), m)) for q, m in _poly_derivative(dgens, poly)]
+    for b, k in bases.items():
+        terms += [(poly * q * k, _merge(_merge(dict(bases), m), {b: -1}))
+                  for q, m in _poly_derivative(dgens, b)]
+    return terms
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0], _merge(dict(a[1]), b[1])
+
+
+@functools.lru_cache(maxsize=_MEMO_TREES)
+def _derive(nf: _NormalForm, images: tuple) -> tuple[_NormalForm, sp.Expr]:
+    """The normal form and canonical tree of D(value of nf) for the
+    derivation D with D(s) = image for each (s, image) in images, D = 0 on
+    other symbols and D(f^(k)(arg)) = f^(k+1)(arg) * D(arg) on function
+    atoms.  See the module docstring.  Memoized: a run differentiates the
+    same entries many times."""
+    exprs = [x for _, (num, den) in nf.parts for x in (num, den)]
+    exprs += [L for (L, _), _ in nf.parts if L is not None]
+    if nf.radicand is not None:
+        exprs.append(nf.radicand)
+    atoms = set().union(*(x.atoms(AppliedUndef) for x in exprs))
+    for a in list(atoms):
+        atoms |= a.args[0].atoms(AppliedUndef)
+    symbols = set().union(*(x.free_symbols for x in exprs))
+    nexts = {a: sp.Function(a.func.__name__ + "'")(a.args[0]) for a in atoms
+             if any(s in a.free_symbols for s, _ in images)}
+    for s, image in images:
+        if s in symbols:
+            symbols |= image.free_symbols
+    mask = {a: sp.Symbol(str(a)) for a in atoms | set(nexts.values())}
+    gens = _sort_gens(sorted(symbols | set(mask.values()), key=str))
+    field = FracField(gens, QQ, lex)
+    ring = field.ring
+    index = {g: i for i, g in enumerate(gens)}
+    index.update({a: index[m] for a, m in mask.items()})
+    by_expr = {x: ring.gens[i] for x, i in index.items()}
+
+    dgens = {index[s]: (_ring_poly(ring, index, image), {})
+             for s, image in images if s in index}
+    # nested atoms first: an argument may hold atoms declared before it
+    for a in sorted(nexts, key=lambda a: len(a.args[0].atoms(AppliedUndef))):
+        arg = _node(ring, by_expr, a.args[0])
+        dq, dm = _node_sum(ring, _derivative_terms(dgens, arg))
+        if dq:
+            dgens[index[a]] = (by_expr[nexts[a]] * dq, dm)
+
+    def quotient(num: sp.Expr, den: sp.Expr) -> tuple:
+        n, d = _ring_poly(ring, index, num), _ring_poly(ring, index, den)
+        return n.quo_ground(d.LC), ({} if d.is_ground else {d.monic(): -1})
+
+    def log_derivative(*factors: tuple[sp.Expr, int]) -> list:
+        """D(f)/f for f the product of polynomials to the given powers."""
+        terms = []
+        for x, k in factors:
+            b = _ring_poly(ring, index, x).monic()
+            terms += [(q * k, _merge(dict(m), {b: -1}))
+                      for q, m in _poly_derivative(dgens, b)]
+        return terms
+
+    coeffs = {key: quotient(num, den) for key, (num, den) in nf.parts}
+    logs = {L: log_derivative(*zip(sp.fraction(L), (1, -1)))
+            for (L, _) in coeffs if L is not None}
+    root = []
+    if nf.radicand is not None:
+        root = [(q / 2, m) for q, m in log_derivative((nf.radicand, 1))]
+    keys = [(None, r) for r in (False, True) if any(k[1] == r for k in coeffs)]
+    keys += [k for k in coeffs if k[0] is not None]
+    unmask = {m: a for a, m in mask.items()}
+    parts = []
+    for key in keys:
+        L, has_rad = key
+        terms = []
+        if key in coeffs:
+            terms += _derivative_terms(dgens, coeffs[key])
+            if has_rad:
+                terms += [_times(coeffs[key], t) for t in root]
+        if L is None:
+            for (L2, r2), c in coeffs.items():
+                if L2 is not None and r2 == has_rad:
+                    terms += [_times(c, t) for t in logs[L2]]
+        value = _lowest_terms(field, *_node_sum(ring, terms))
+        if value:
+            parts.append((key, _sympy_fraction(value.numer, value.denom, unmask)))
+    used_radical = any(has_rad for (_, has_rad), _ in parts)
+    out = _NormalForm(nf.radicand if used_radical else None, tuple(parts))
+    return out, out.rebuild()
+
+
+def _derivative(e: Expr, images: tuple) -> Expr:
+    """D(e) for the derivation _derive takes images for; zero at once when
+    e holds none of the symbols D moves."""
+    free = e.canonical.free_symbols
+    if not any(s in free for s, _ in images):
+        return _with_normal_form(e.ctx, _NormalForm(None, ()), sp.Integer(0))
+    nf, tree = _derive(e.normal_form(), images)
+    return _with_normal_form(e.ctx, nf, tree)
 
 
 def diff(e: Expr, s) -> Expr:
     """Exact partial derivative with respect to a declared symbol."""
-    var = _resolve_symbol(e.ctx, s)
-    return Expr(e.ctx, _sym_diff(e.canonical, var, e.ctx)).normalized()
+    return _derivative(e, ((_resolve_symbol(e.ctx, s), sp.Integer(1)),))
 
 
 def total_x_derivative(e: Expr) -> Expr:
     """D_x e over the first jet space:
     D_x = d/dx + sum_k u^k_x d/du^k + sum_k u^k_xx d/du^k_x."""
     ctx = e.ctx
-    c = e.canonical
-    free = c.free_symbols
+    free = e.canonical.free_symbols
     for j2 in ctx.jet2_syms:
         if j2 in free:
             raise JetOrderError(
                 f"{j2.name} present: total derivative would need third-order jets"
             )
-    total = _sym_diff(c, ctx.x, ctx)
-    for f, j1, j2 in zip(ctx.field_syms, ctx.jet1_syms, ctx.jet2_syms):
-        total += _sym_diff(c, f, ctx) * j1
-        total += _sym_diff(c, j1, ctx) * j2
-    return Expr(ctx, total).normalized()
+    images = ((ctx.x, sp.Integer(1)),) + tuple(zip(ctx.field_syms, ctx.jet1_syms))
+    return _derivative(e, images + tuple(zip(ctx.jet1_syms, ctx.jet2_syms)))
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
@@ -1241,10 +1380,11 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
                 info = ctx.classify_atom(a)
                 if info and info[0].name == name:
                     max_order = max(max_order, info[1])
-            deriv = val.canonical
+            deriv = val
             for order in range(max_order + 1):
-                repl[fa.applied(order)] = deriv
-                deriv = _sym_diff(deriv, fa.arg, val.ctx)
+                repl[fa.applied(order)] = deriv.canonical
+                if order < max_order:
+                    deriv = diff(deriv, fa.arg)
         else:
             sym = _resolve_symbol(ctx, key)
             repl[sym] = val.raw

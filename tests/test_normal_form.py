@@ -8,6 +8,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.rings import PolyElement
 
 from pencil_forge import catalog as cat
 from pencil_forge import symcore as sc
@@ -89,6 +90,29 @@ class TestFieldValue:
         assert value.denom == FIELD.ring(6)
         assert value.numer == FIELD.ring.from_expr(sp.expand((u + v + w + 1) ** 6))
 
+    @pytest.mark.parametrize("e", [
+        sp.expand((u + v + w + 1) ** 4) / 6 - sp.Rational(2, 9) * u * G12,
+        sp.Rational(3, 4) * u - v / 10,
+        -6 * u**2 * v - 4 * w,                 # integer content is kept
+        -u,
+        sp.Rational(-7, 2),
+        u**2 * (v - w) * (u + G12),           # factored, no denominator
+        (u**2 - v**2) / (u - v),              # the base divides out exactly
+    ])
+    def test_polynomial_value_needs_no_cancel(self, e, monkeypatch):
+        calls = []
+        cancel = PolyElement.cancel
+
+        def counted(self, g):
+            calls.append(g)
+            return cancel(self, g)
+
+        monkeypatch.setattr(PolyElement, "cancel", counted)
+        value = sc._field_value(FIELD, e)
+        assert calls == []
+        ref = FIELD.from_expr(e)
+        assert (value.numer, value.denom) == cancel(ref.numer, ref.denom)
+
     def test_zero_base_raises_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             sc._field_value(FIELD, 1 / ((u + 1) ** 2 - u**2 - 2 * u - 1))
@@ -169,6 +193,51 @@ class TestFieldValue:
         nf = sc._normalize.__wrapped__(raw)
         assert nf.radicand == v
         assert len(nf.parts) == 2
+
+
+class TestRadicalConjugation:
+    # shaped like the perturbed g9 Levi-Civita entry: a monomial times a
+    # 4-term and a squared 8-term factor, all free of the root, times
+    # c + sqrt(s) with norm c^2 - s = 4*alpha*u^2*v^2
+    MONOMIAL = "u^2*v"
+    A = "(u + v + alpha + 1)"
+    B = "(u^2 + v^2 + u*v + 2*u - v + alpha*u + alpha*v + 3)"
+    C = "(eps2 + gamma*u*v)"
+
+    def test_t_free_factor_is_not_squared(self, monkeypatch):
+        ctx = sc.Context(fields=("u", "v"), parameters=("alpha", "eps2", "gamma"))
+        s = sp.expand(ctx.parse(self.C).raw ** 2 - 4 * ctx.parse("alpha*u^2*v^2").raw)
+        radicand = sc._render_sym(s, ctx)
+        free = f"{self.MONOMIAL}*{self.A}*{self.B}^2"
+        e = ctx.parse(f"1/({free}*({self.C} + sqrt({radicand})))")
+        degrees = []
+        cancel = PolyElement.cancel
+
+        def recorded(self, g):
+            degrees.append(max(sum(m) for m in g.itermonoms()))
+            return cancel(self, g)
+
+        monkeypatch.setattr(PolyElement, "cancel", recorded)
+        nf = sc._normalize.__wrapped__(e.raw)
+        monkeypatch.undo()
+
+        # (c - t)/(P*(c^2 - s)): only c + t is conjugated
+        P = ctx.parse(free).raw
+        norm = ctx.parse("4*alpha*u^2*v^2").raw
+        want = []
+        for has_rad, comp in ((False, ctx.parse(self.C).raw), (True, -1)):
+            num, den = sp.fraction(sp.cancel(comp / (P * norm)))
+            want.append(((None, has_rad), (sp.expand(num), sp.expand(den))))
+        assert nf.radicand == s
+        assert nf.parts == tuple(want)
+        # deg P = 8 and deg(c^2 - s) = 5; conjugating all of P*(c + t)
+        # would hand a denominator of degree 2*8 + 5 to the cancel
+        assert max(degrees) == 8 + 5
+
+    def test_denominator_all_root(self, ctx):
+        # a + b*t with a = 0: the gcd is b itself
+        e = ctx.parse("(u + 1)/((u - w)*sqrt(v))")
+        assert e.normal_form().parts == (((None, True), (u + 1, u * v - v * w)),)
 
 
 class TestRejection:
