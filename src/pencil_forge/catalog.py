@@ -11,9 +11,12 @@ operator, expected flows).  Built-in records and case files pass the same
 schema check (validate_case_data) when a CaseRecord is made, and a record
 builds its metric, its operator and its eta once, so their connections
 are computed once per record.  builtin_case and builtin_cases return fresh
-records, so no cache outlives its caller.  verify_case runs the operator
-validity conditions, the pair criterion against the antidiagonal eta, and
-every reference comparison, reporting per-check status without raising.
+records, so no cache outlives its caller.  Metric and isometry entries may
+hold fields and parameters only, epsilon and c parameters only.
+verify_case runs the operator validity conditions, the pair criterion
+against the antidiagonal eta, and every reference comparison into one
+operators.ValidationReport, without raising; each check's seconds are
+measured where it is decided, and they add up to the whole run.
 
 The functional identities (potential-associativity residual, the
 third-order reduction gamma''' - 6 gamma gamma'' + 9 gamma'^2, the
@@ -23,8 +26,6 @@ live here as well.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from itertools import product
 
 from . import diffgeo as dg
@@ -33,15 +34,13 @@ from . import operators as ops
 from . import pencil as pc
 from . import symcore as sc
 from .diffgeo import DegenerateMetricError, Metric, VectorField, contract, first_nonzero, tensor
-from .operators import ConstantOp, NonlocalIsometryOp
+from .operators import ConstantOp, NonlocalIsometryOp, ValidationReport
 from .symcore import Context, Expr
 
 __all__ = [
     "CaseFileError",
     "validate_case_data",
     "CaseRecord",
-    "CheckOutcome",
-    "VerificationReport",
     "builtin_cases",
     "builtin_case",
     "verify_case",
@@ -105,6 +104,22 @@ def validate_case_data(data) -> None:
         raise _schema_error("references must be an object")
 
 
+_FIELD_KINDS = ("field", "parameter")
+
+
+def _parse_in(ctx: Context, text: str, what: str, kinds: tuple[str, ...]) -> Expr:
+    """ctx.parse(text); raises ValueError when the tree holds a symbol whose
+    kind is not in kinds, such as x, t or a jet symbol in a metric entry.
+    Function atoms count by the symbols of their argument."""
+    e = ctx.parse(text)
+    bad = sorted(s.name for s in e.raw.free_symbols if ctx.kind(s.name) not in kinds)
+    if bad:
+        raise ValueError(
+            f"{what} {text!r} holds {', '.join(bad)}, which is not a {' or '.join(kinds)}"
+        )
+    return e
+
+
 class CaseRecord:
     """One named, parameterized case; wraps the JSON-shaped data dict,
     which must pass validate_case_data."""
@@ -153,26 +168,30 @@ class CaseRecord:
         if self._metric is None:
             ctx = self.context()
             self._metric = Metric(ctx, [
-                [ctx.parse(text) for text in row] for row in self.data["metric"]
+                [_parse_in(ctx, text, f"metric entry ({i+1},{j+1})", _FIELD_KINDS)
+                 for j, text in enumerate(row)]
+                for i, row in enumerate(self.data["metric"])
             ])
         return self._metric
 
     def isometry(self) -> VectorField:
         if self._isometry is None:
             ctx = self.context()
-            self._isometry = VectorField(
-                tuple(ctx.parse(t) for t in self.data["isometry"])
-            )
+            self._isometry = VectorField(tuple(
+                _parse_in(ctx, text, f"isometry component {i+1}", _FIELD_KINDS)
+                for i, text in enumerate(self.data["isometry"])
+            ))
         return self._isometry
 
     def epsilon(self) -> Expr:
         if self._epsilon is None:
-            self._epsilon = self.context().parse(self.data.get("epsilon", "1"))
+            self._epsilon = _parse_in(
+                self.context(), self.data.get("epsilon", "1"), "epsilon", ("parameter",))
         return self._epsilon
 
     def c(self) -> Expr:
         if self._c is None:
-            self._c = self.context().parse(self.data.get("c", "0"))
+            self._c = _parse_in(self.context(), self.data.get("c", "0"), "c", ("parameter",))
         return self._c
 
     def operator(self) -> NonlocalIsometryOp:
@@ -640,44 +659,6 @@ def builtin_case(name: str) -> CaseRecord:
 # Verification runner
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    status: str  # "pass" | "fail" | "error"
-    witness: str | None
-    seconds: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    case: str
-    checks: tuple[CheckOutcome, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    @property
-    def seconds(self) -> float:
-        return sum(c.seconds for c in self.checks)
-
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
-            "case": self.case,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    **({"witness": c.witness} if c.witness else {}),
-                    **({"seconds": round(c.seconds, 3)} if include_timings else {}),
-                }
-                for c in self.checks
-            ],
-        }
-        return out
-
-
 def _bind_operator(case: CaseRecord, binds: dict[str, str] | None) -> NonlocalIsometryOp:
     op = case.operator()
     if not binds:
@@ -830,22 +811,18 @@ _REFERENCE_CHECKS = {
 }
 
 
-def verify_case(case: CaseRecord) -> VerificationReport:
+def verify_case(case: CaseRecord) -> ValidationReport:
     """Runs operator validity, the pair criterion, and every reference
     comparison attached to the case; sub-check errors are reported, not
-    raised."""
-    outcomes: list[CheckOutcome] = []
+    raised.  The operator is built inside the guarded validity step, so
+    its seconds go to the first validity item."""
+    report = ValidationReport(case.name)
 
-    def run(name: str, fn):
-        start = time.perf_counter()
+    def run(name: str, fn) -> bool:
         try:
-            ok, witness = fn()
-            status = "pass" if ok else "fail"
+            return report.add(name, *fn())
         except Exception as exc:  # noqa: BLE001 -- reported, not raised
-            status = "error"
-            witness = f"{type(exc).__name__}: {exc}"
-        outcomes.append(CheckOutcome(name, status, witness, time.perf_counter() - start))
-        return status == "pass"
+            return report.add(name, False, f"{type(exc).__name__}: {exc}", error=True)
 
     def well_formed():
         case.metric()
@@ -855,7 +832,7 @@ def verify_case(case: CaseRecord) -> VerificationReport:
         return True, None
 
     if not run("well_formed", well_formed):
-        return VerificationReport(case.name, tuple(outcomes))
+        return report
 
     def nondegenerate():
         if case.metric().is_degenerate():
@@ -865,43 +842,25 @@ def verify_case(case: CaseRecord) -> VerificationReport:
         return True, None
 
     if not run("nondegenerate", nondegenerate):
-        return VerificationReport(case.name, tuple(outcomes))
-
-    start = time.perf_counter()
+        return report
     if not case.metric().is_symmetric():  # no Levi-Civita connection, so no operator
-        outcomes.append(CheckOutcome("metric_symmetric", "fail", None, time.perf_counter() - start))
-        return VerificationReport(case.name, tuple(outcomes))
+        report.add("metric_symmetric", False)
+        return report
 
-    op = case.operator()
-
-    def lift(report_getter):
-        start = time.perf_counter()
+    for validator in (lambda: ops.validate_nonlocal(case.operator()),
+                      lambda: pc.pair_check(case.eta(), case.operator())):
         try:
-            report = report_getter()
+            report.extend(validator())
         except Exception as exc:  # noqa: BLE001
-            outcomes.append(CheckOutcome(
-                "validity", "error", f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - start,
-            ))
-            return
-        elapsed = time.perf_counter() - start
-        share = elapsed / max(len(report.checks), 1)
-        for item in report.checks:
-            outcomes.append(CheckOutcome(
-                item.name, "pass" if item.passed else "fail", item.witness, share
-            ))
-
-    lift(lambda: ops.validate_nonlocal(op))
-    lift(lambda: pc.pair_check(case.eta(), op))
+            report.add("validity", False, f"{type(exc).__name__}: {exc}", error=True)
 
     for key, (name, fn) in _REFERENCE_CHECKS.items():
         if key == "recursion" or key in case.references:
-            run(name, lambda fn=fn: fn(case, op))
+            run(name, lambda fn=fn: fn(case, case.operator()))
+    return report
 
-    return VerificationReport(case.name, tuple(outcomes))
 
-
-def verify_all(cases: list[CaseRecord] | None = None) -> list[VerificationReport]:
+def verify_all(cases: list[CaseRecord] | None = None) -> list[ValidationReport]:
     """verify_case over the catalog, deterministic order by name."""
     if cases is None:
         cases = builtin_cases()

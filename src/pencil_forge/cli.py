@@ -24,7 +24,7 @@ import sys
 from . import catalog as cat
 from . import hierarchy as hy
 from . import symcore as sc
-from .catalog import CaseFileError, CaseRecord, VerificationReport, validate_case_data
+from .catalog import CaseFileError, CaseRecord, ValidationReport, validate_case_data
 
 __all__ = ["main", "CaseFileError", "load_case_file", "validate_case_data"]
 
@@ -68,7 +68,7 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _print_report(report: VerificationReport, fmt: str):
+def _print_report(report: ValidationReport, fmt: str):
     if fmt == "json":
         print(_dump_json(report.to_dict()))
         return

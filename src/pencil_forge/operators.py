@@ -9,15 +9,19 @@ curvature c, and f is a Killing field satisfying the cyclic condition.
 
 Every condition is scanned by diffgeo.first_nonzero and reported through
 scan_verdict; the Levi-Civita, connection-symmetry and compatibility scans run
-backwards, so their witness is the last nonzero component.  ConstantOp keeps
-eta as a Metric, whose inverse and connection it shares.
+backwards, so their witness is the last nonzero component.  A verdict is a
+CheckItem (name, pass/fail/error, witness, seconds) that ValidationReport.add
+times when it is decided; the validators, the pair criterion and
+catalog.verify_case all record through it.  ConstantOp keeps eta as a
+Metric, whose inverse and connection it shares.
 poincare_potential integrates a closed set of partial derivatives; the
 Liouville potential here and the Magri step in hierarchy both use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import product
 from typing import Callable, Sequence
@@ -41,7 +45,7 @@ __all__ = [
     "liouville_potential",
     "h_potential_check",
     "poincare_potential",
-    "killing_item",
+    "killing_verdict",
     "scan_verdict",
 ]
 
@@ -53,17 +57,52 @@ class NotLiouvilleError(ValueError):
 @dataclass(frozen=True)
 class CheckItem:
     name: str
-    passed: bool
+    status: str  # "pass" | "fail" | "error"
     witness: str | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckItem, ...]
+    seconds: float = 0.0
 
     @property
-    def valid(self) -> bool:
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+
+class ValidationReport:
+    """Check items in the order they are decided.  add() times each item
+    from the previous decision (the first from the report's creation), so
+    the items' seconds add up to the report's whole run."""
+
+    def __init__(self, case: str | None = None):
+        self.case = case
+        self.checks: list[CheckItem] = []
+        self._mark = time.perf_counter()
+
+    def _lap(self) -> float:
+        now = time.perf_counter()
+        lap, self._mark = now - self._mark, now
+        return lap
+
+    def add(self, name: str, ok: bool, witness: str | None = None, error: bool = False) -> bool:
+        """Records a verdict decided just now; returns ok."""
+        status = "error" if error else "pass" if ok else "fail"
+        self.checks.append(CheckItem(name, status, witness, self._lap()))
+        return ok
+
+    def extend(self, sub: "ValidationReport") -> None:
+        """Appends a finished sub-report's items; the time since this
+        report's last decision that sub did not measure goes to its first
+        item."""
+        if sub.checks:
+            first = sub.checks[0]
+            extra = self._lap() - sub.seconds
+            self.checks += [replace(first, seconds=first.seconds + extra), *sub.checks[1:]]
+
+    @property
+    def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @property
+    def seconds(self) -> float:
+        return sum(c.seconds for c in self.checks)
 
     def failed(self) -> tuple[CheckItem, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -74,6 +113,13 @@ class ValidationReport:
                 return c
         raise KeyError(name)
 
+    def to_dict(self, include_timings: bool = False) -> dict:
+        checks = [{"name": c.name, "status": c.status,
+                   **({"witness": c.witness} if c.witness else {}),
+                   **({"seconds": round(c.seconds, 3)} if include_timings else {})}
+                  for c in self.checks]
+        return {"case": self.case, "passed": self.passed, "checks": checks}
+
 
 def scan_verdict(found: tuple | None, witness: Callable[..., str]) -> tuple[bool, str | None]:
     """(True, None) when the first_nonzero scan found nothing, else
@@ -81,17 +127,12 @@ def scan_verdict(found: tuple | None, witness: Callable[..., str]) -> tuple[bool
     return found is None, None if found is None else witness(*found)
 
 
-def _unsymmetric(*names: str) -> list[CheckItem]:
-    """Failed items for the checks that need a symmetric metric."""
-    return [CheckItem(name, False, "metric not symmetric") for name in names]
-
-
-def killing_item(name: str, g: Metric, f: VectorField) -> CheckItem:
-    """The Killing condition of f for g as a check named name."""
-    return CheckItem(name, *scan_verdict(
+def killing_verdict(g: Metric, f: VectorField) -> tuple[bool, str | None]:
+    """The Killing condition of f for g."""
+    return scan_verdict(
         dg.killing_defect(g, f),
         lambda i, j, value: f"Lie derivative component ({i+1},{j+1}) = {value}",
-    ))
+    )
 
 
 GammaTable = tuple  # [i][j][k] -> Expr, raised symbols Gamma^{ij}_k
@@ -199,84 +240,79 @@ def _backwards(n: int, rank: int):
 
 def validate_local(op: LocalFirstOrderOp) -> ValidationReport:
     """(a) g symmetric, (b) Gamma is the Levi-Civita raising, (c) g flat."""
+    report = ValidationReport()
     g = op.metric
     if g.is_degenerate():
         raise DegenerateMetricError("operator has an identically degenerate metric")
-    sym = g.is_symmetric()
-    checks = [CheckItem("metric_symmetric", sym)]
-    if sym:
+    if report.add("metric_symmetric", g.is_symmetric()):
         lc = dg.levi_civita(g).raised
-        checks.append(CheckItem("levi_civita_symbols", *scan_verdict(
+        report.add("levi_civita_symbols", *scan_verdict(
             first_nonzero(_backwards(g.n, 3), lambda i, j, k: op.gamma[i][j][k] - lc[i][j][k]),
             lambda i, j, k, d: f"Gamma^{{{i+1}{j+1}}}_{k+1} differs from Levi-Civita by {d}",
-        )))
-        checks.append(CheckItem("flat", *scan_verdict(
+        ))
+        report.add("flat", *scan_verdict(
             dg.riemann(g).first_nonzero(),
             lambda i, j, k, l, comp: f"R^{i+1}_{{{j+1}{k+1}{l+1}}} = {comp}",
-        )))
+        ))
     else:
-        checks += _unsymmetric("levi_civita_symbols", "flat")
-    return ValidationReport(tuple(checks))
+        for name in ("levi_civita_symbols", "flat"):
+            report.add(name, False, "metric not symmetric")
+    return report
 
 
 def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
     """Ferapontov conditions: metric-compatible symmetric connection of
     constant curvature c, Killing isometry, cyclic condition; for c = 0 the
     local part must additionally be a valid first-order operator."""
+    report = ValidationReport()
     g = op.metric
     if g.is_degenerate():
         raise DegenerateMetricError("operator has an identically degenerate metric")
     ctx = op.ctx
     n = op.n
-    sym = g.is_symmetric()
-    checks = [CheckItem("metric_symmetric", sym)]
-    if sym:
+    if report.add("metric_symmetric", g.is_symmetric()):
         lower = _lower_connection(op)
         # connection symmetry Gamma^j_{mk} = Gamma^j_{km}
-        checks.append(CheckItem("connection_symmetric", *scan_verdict(
+        report.add("connection_symmetric", *scan_verdict(
             first_nonzero(
                 (index for index in _backwards(n, 3) if index[1] < index[2]),
                 lambda j, m, k: lower[j][m][k] - lower[j][k][m],
             ),
             lambda j, m, k, d: f"Gamma^{j+1}_{{{m+1}{k+1}}} asymmetry {d}",
-        )))
+        ))
         # metric compatibility: d_k g^{ij} + Gamma^i_{ks} g^{sj} + Gamma^j_{ks} g^{si} = 0
-        checks.append(CheckItem("metric_compatible", *scan_verdict(
+        report.add("metric_compatible", *scan_verdict(
             first_nonzero(_backwards(n, 3), lambda i, j, k: (
                 sc.diff(g.entries[i][j], ctx.fields[k]) + contract(ctx, n, lambda s: (
                     lower[i][k][s] * g.entries[s][j] + lower[j][k][s] * g.entries[s][i]
                 ))
             )),
             lambda i, j, k, total: f"grad_k g^{{{i+1}{j+1}}} nonzero for k={k+1}: {total}",
-        )))
-    else:
-        checks += _unsymmetric("connection_symmetric", "metric_compatible")
-
-    # constant curvature equals c
-    cc = dg.constant_curvature(g) if sym else None
-    match = cc is not None and sc.is_zero(cc - op.c)
-    checks.append(CheckItem("curvature_constant", match, None if match else (
-        "curvature not constant" if cc is None else f"curvature {cc} != c = {op.c}"
-    )))
-
-    if sym:
-        checks.append(killing_item("killing", g, op.isometry))
-        checks.append(CheckItem("cyclic", *scan_verdict(
+        ))
+        # constant curvature equals c
+        cc = dg.constant_curvature(g)
+        match = cc is not None and sc.is_zero(cc - op.c)
+        report.add("curvature_constant", match, None if match else (
+            "curvature not constant" if cc is None else f"curvature {cc} != c = {op.c}"
+        ))
+        report.add("killing", *killing_verdict(g, op.isometry))
+        report.add("cyclic", *scan_verdict(
             dg.cyclic_defect(g, op.isometry),
             lambda i, j, k, total: f"cyclic sum ({i+1},{j+1},{k+1}) = {total}",
-        )))
+        ))
     else:
-        checks += _unsymmetric("killing", "cyclic")
+        for name in ("connection_symmetric", "metric_compatible"):
+            report.add(name, False, "metric not symmetric")
+        report.add("curvature_constant", False, "curvature not constant")
+        for name in ("killing", "cyclic"):
+            report.add(name, False, "metric not symmetric")
 
     if sc.is_zero(op.c):
         local = validate_local(op.local_part())
-        checks.append(CheckItem(
-            "local_part_valid", local.valid,
-            None if local.valid else "; ".join(
-                f"{c.name}: {c.witness or 'failed'}" for c in local.failed()
-            ),
+        report.add("local_part_valid", local.passed, None if local.passed else "; ".join(
+            f"{c.name}: {c.witness or 'failed'}" for c in local.failed()
         ))
-    return ValidationReport(tuple(checks))
+    return report
 
 
 def poincare_potential(ctx: Context, coords: Sequence[str], comps: Sequence[Expr]) -> Expr:

@@ -32,7 +32,7 @@ from itertools import product
 from . import diffgeo as dg
 from . import symcore as sc
 from .diffgeo import Metric
-from .operators import CheckItem, ConstantOp, NonlocalIsometryOp, ValidationReport, killing_item
+from .operators import ConstantOp, NonlocalIsometryOp, ValidationReport, killing_verdict
 from .symcore import Expr
 
 __all__ = [
@@ -158,15 +158,12 @@ def pair_check(A: ConstantOp, B: NonlocalIsometryOp) -> ValidationReport:
     """Bi-Hamiltonian pair criterion for (eta*d_x, B) with c = 0:
     (i) eta and g_B compatible, (ii) f Killing for eta, (iii) f Killing
     for g_B; then A + lambda*B is Hamiltonian for every lambda."""
+    report = ValidationReport()
     if not sc.is_zero(B.c):
         raise ValueError("pair criterion requires a c = 0 nonlocal tail")
     compat = compatible(B.metric, A.metric)
-    return ValidationReport((
-        CheckItem(
-            "pencil_compatible", compat,
-            None if compat else
-            "pencil symbols are not affine in lambda or the curvature does not split",
-        ),
-        killing_item("eta_killing", A.metric, B.isometry),
-        killing_item("metric_killing", B.metric, B.isometry),
-    ))
+    report.add("pencil_compatible", compat, None if compat else
+               "pencil symbols are not affine in lambda or the curvature does not split")
+    report.add("eta_killing", *killing_verdict(A.metric, B.isometry))
+    report.add("metric_killing", *killing_verdict(B.metric, B.isometry))
+    return report

@@ -440,7 +440,13 @@ def _exact_quotient(n: PolyElement, b: PolyElement) -> PolyElement | None:
     products of the quotient terms with b's tail wait in a heap, so no step
     rescans the dividend.  The first term that b's leading monomial does
     not divide ends it: {b} is a Groebner basis, so no later step cancels
-    a remainder term."""
+    a remainder term.  Two necessary conditions end most failing calls
+    first: b's lex-last monomial divides n's, and no variable has a higher
+    degree in b than in n."""
+    if n and (any(map(operator.gt, min(b.itermonoms()), min(n.itermonoms())))
+              or any(map(operator.gt, b.degrees(), n.degrees()))):
+        return None
+
     def push(i: int, j: int):
         heapq.heappush(heap, (tuple(map(operator.add, quo[i][0], tail[j][0])), i, j))
 

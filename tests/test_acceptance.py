@@ -327,7 +327,7 @@ def test_criterion_7_negative_controls():
     op = ops.NonlocalIsometryOp.from_metric(
         g, dg.VectorField((Q("0"), Q("1"))), epsilon=ctx.number(1))
     report = pc.pair_check(ops.ConstantOp.antidiagonal(ctx), op)
-    if report.valid or report["pencil_compatible"].passed:
+    if report.passed or report["pencil_compatible"].passed:
         failures.append("incompatible pair reported compatible")
     _conclude(7, "negative controls: curved metric, broken isometry,"
                  " incompatible pair all rejected", failures)

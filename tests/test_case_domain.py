@@ -1,0 +1,54 @@
+"""Case expressions outside their domain are refused when the record
+parses them: metric entries and isometry components may hold fields and
+parameters (function atoms count by their argument), epsilon and c only
+parameters.  A case file exits 2 with one stderr line; a record built in
+memory reports a well_formed error."""
+
+import json
+
+import pytest
+
+from pencil_forge import catalog as cat
+from pencil_forge import cli
+
+FLAT = {
+    "name": "flat",
+    "n": 2,
+    "coordinates": ["u", "v"],
+    "parameters": [{"name": "alpha"}],
+    "metric": [["1", "0"], ["0", "1"]],
+    "isometry": ["1", "0"],
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"epsilon": "u"}, "epsilon 'u' holds u, which is not a parameter"),
+    ({"c": "v"}, "c 'v' holds v, which is not a parameter"),
+    ({"metric": [["x", "0"], ["0", "1"]]},
+     "metric entry (1,1) 'x' holds x, which is not a field or parameter"),
+    ({"metric": [["1", "0"], ["0", "u_x"]]},
+     "metric entry (2,2) 'u_x' holds u_x, which is not a field or parameter"),
+    ({"isometry": ["t", "0"]},
+     "isometry component 1 't' holds t, which is not a field or parameter"),
+])
+def test_case_file_exits_two(tmp_path, capsys, change, message):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**FLAT, **change}))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: expression error in {path}: {message}"]
+
+
+def test_in_memory_record_reports_well_formed_error():
+    report = cat.verify_case(cat.CaseRecord({**FLAT, "epsilon": "alpha*v"}))
+    assert [(c.name, c.status) for c in report.checks] == [("well_formed", "error")]
+    assert report["well_formed"].witness == (
+        "ValueError: epsilon 'alpha*v' holds v, which is not a parameter"
+    )
+
+
+def test_parameters_and_fields_stay_allowed():
+    record = cat.CaseRecord({**FLAT, "epsilon": "alpha^2", "c": "0",
+                             "metric": [["1 + alpha*u", "0"], ["0", "1"]]})
+    assert cat.verify_case(record)["well_formed"].passed

@@ -47,13 +47,13 @@ class TestValidateLocal:
         P = ctx.parse
         g = dg.Metric(ctx, [[P("u"), P("0")], [P("0"), P("1/u")]])
         op = ops.LocalFirstOrderOp.from_metric(g)
-        assert ops.validate_local(op).valid
+        assert ops.validate_local(op).passed
 
     def test_constant_operator(self, actx):
         P = actx.parse
         g = dg.Metric(actx, [[P("0"), P("1")], [P("1"), P("0")]])
         op = ops.LocalFirstOrderOp.from_metric(g)
-        assert ops.validate_local(op).valid
+        assert ops.validate_local(op).passed
 
     def test_zero_symbols_invalid(self):
         ctx = sc.Context(fields=("u", "v"))
@@ -65,7 +65,7 @@ class TestValidateLocal:
             for _ in range(2)
         )
         report = ops.validate_local(ops.LocalFirstOrderOp(g, gamma))
-        assert not report.valid
+        assert not report.passed
         assert not report["levi_civita_symbols"].passed
         assert report["metric_symmetric"].passed
 
@@ -84,14 +84,14 @@ class TestValidateNonlocal:
             epsilon=P("epsilon"),
         )
         report = ops.validate_nonlocal(op)
-        assert report.valid
+        assert report.passed
         assert [c.name for c in report.checks] == [
             "metric_symmetric", "connection_symmetric", "metric_compatible",
             "curvature_constant", "killing", "cyclic", "local_part_valid",
         ]
 
     def test_wdvv(self, wctx):
-        assert ops.validate_nonlocal(wdvv_operator(wctx)).valid
+        assert ops.validate_nonlocal(wdvv_operator(wctx)).passed
 
     def test_bad_isometry_fails_killing(self, actx):
         P = actx.parse
@@ -100,7 +100,7 @@ class TestValidateNonlocal:
             epsilon=P("epsilon"),
         )
         report = ops.validate_nonlocal(op)
-        assert not report.valid
+        assert not report.passed
         assert not report["killing"].passed
         assert report["metric_compatible"].passed
 
@@ -110,7 +110,7 @@ class TestValidateNonlocal:
             astig_metric(actx), dg.VectorField((P("0"), P("1"))),
             epsilon=actx.number(0),
         )
-        assert ops.validate_nonlocal(op).valid
+        assert ops.validate_nonlocal(op).passed
 
     def test_field_dependent_epsilon_rejected(self, actx):
         P = actx.parse

@@ -130,12 +130,12 @@ class TestPairCheck:
     def test_astigmatism(self):
         case = cat.builtin_case("astigmatism")
         report = pc.pair_check(case.eta(), case.operator())
-        assert report.valid
+        assert report.passed
 
     def test_wdvv(self):
         case = cat.builtin_case("wdvv3")
         report = pc.pair_check(case.eta(), case.operator())
-        assert report.valid
+        assert report.passed
 
     def test_wrong_isometry_fails_metric_killing(self):
         case = cat.builtin_case("astigmatism")
@@ -144,7 +144,7 @@ class TestPairCheck:
         op = ops.NonlocalIsometryOp.from_metric(
             case.metric(), dg.VectorField((P("1"), P("0"))), epsilon=P("epsilon"))
         report = pc.pair_check(case.eta(), op)
-        assert not report.valid
+        assert not report.passed
         assert not report["metric_killing"].passed
         assert report["eta_killing"].passed
 
@@ -155,7 +155,7 @@ class TestPairCheck:
         op = ops.NonlocalIsometryOp.from_metric(
             g, dg.VectorField((P("0"), P("1"))), epsilon=ctx.number(1))
         report = pc.pair_check(ops.ConstantOp.antidiagonal(ctx), op)
-        assert not report.valid
+        assert not report.passed
         assert not report["pencil_compatible"].passed
 
     def test_requires_zero_curvature_tail(self):
@@ -175,7 +175,7 @@ class TestPencilProperties:
         # passes the nonlocal validity conditions for symbolic lam
         case = cat.builtin_case(name)
         op = case.operator()
-        assert pc.pair_check(case.eta(), op).valid
+        assert pc.pair_check(case.eta(), op).passed
         ctx = case.context().extend(parameters=(pc.PENCIL_PARAMETER,))
         lam = ctx.var(pc.PENCIL_PARAMETER)
         eta = case.eta()
@@ -186,7 +186,7 @@ class TestPencilProperties:
         ])
         lifted = ops.NonlocalIsometryOp(
             combined, op.gamma, op.c, op.epsilon, op.isometry)
-        assert ops.validate_nonlocal(lifted).valid
+        assert ops.validate_nonlocal(lifted).passed
 
     def test_catalog_isometries_killing_for_both(self):
         for case in cat.builtin_cases():
