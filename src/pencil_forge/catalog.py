@@ -152,10 +152,7 @@ class CaseRecord:
                 p["nonzero"] for p in self.data.get("parameters", ())
                 if p.get("nonzero")
             ]
-            functions = [
-                (f["name"], f["arg"], bool(f.get("nonzero", False)))
-                for f in self.data.get("functions", ())
-            ]
+            functions = [(f["name"], f["arg"]) for f in self.data.get("functions", ())]
             self._ctx = Context(
                 fields=self.data["coordinates"],
                 parameters=params,

@@ -45,6 +45,16 @@ and emitted as _normalize emits components, so the derivative carries its
 normal form and canonical tree.  An operand free of every symbol D moves
 has derivative 0 at once; other derivatives are memoized per normal form.
 
+Integration also starts from the normal form.  antiderivative integrates
+each part's coefficient num/den in v by partial fractions over K[v], K the
+rational functions in the other symbols: one division gives the
+polynomial part and one factor_list of den over Q its factors, where a
+factor of degree > 1 in v raises NotIntegrableError.  At the root r of a
+linear factor f^k, num/den = (v - r)^-k * p/q, and the first k Taylor
+coefficients of p/q at r, by synthetic division, give the principal part.
+A simple pole gives ln(f) with f as factor_list returns it, so log atoms
+keep that form; higher poles sum to one fraction over prod f^(k-1).
+
 The normal form and the numeric oracle's verdict are pure functions of
 the expression tree (sympy trees hash and compare structurally), so both
 are memoized process-wide in bounded caches: each distinct tree is
@@ -77,7 +87,7 @@ from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import CoercionFailed
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyElement, PolyRing
 
 __all__ = [
     "Context",
@@ -152,10 +162,9 @@ class FunctionAtom:
     no evaluation rules beyond the chain rule used by :func:`diff`.
     """
 
-    def __init__(self, name: str, arg: sp.Expr, nonzero: bool = False):
+    def __init__(self, name: str, arg: sp.Expr):
         self.name = name
         self.arg = arg
-        self.nonzero = nonzero
 
     def applied(self, order: int) -> sp.Expr:
         return sp.Function(self.name + "'" * order)(self.arg)
@@ -166,7 +175,8 @@ class FunctionAtom:
 
 class Context:
     """Declares field variables with their jets, independent variables,
-    parameters with nonzero assumptions, and function atoms.
+    parameters with nonzero assumptions, and function atoms given as
+    (name, argument text) pairs.
 
     Immutable after construction; extension returns a new context that
     shares all symbol objects with the original.
@@ -177,7 +187,7 @@ class Context:
         fields: Sequence[str],
         independents: Sequence[str] = ("x", "t"),
         parameters: Sequence[str] = (),
-        functions: Sequence[tuple] = (),
+        functions: Sequence[tuple[str, str]] = (),
         assume_nonzero: Sequence[str] = (),
     ):
         self.fields = tuple(fields)
@@ -203,12 +213,7 @@ class Context:
         self._kinds = names
 
         self._atoms: dict[str, FunctionAtom] = {}
-        for spec_entry in functions:
-            if len(spec_entry) == 3:
-                fname, arg_text, nonzero = spec_entry
-            else:
-                fname, arg_text = spec_entry
-                nonzero = False
+        for fname, arg_text in functions:
             if fname in names or fname in self._atoms:
                 raise ValueError(f"duplicate symbol name {fname!r}")
             arg = self._parse_sympy(arg_text)
@@ -219,7 +224,7 @@ class Context:
                 raise ValueError(
                     f"function atom argument must be rational: {arg_text!r}"
                 )
-            self._atoms[fname] = FunctionAtom(fname, arg, bool(nonzero))
+            self._atoms[fname] = FunctionAtom(fname, arg)
 
         self.assumptions: tuple[Expr, ...] = tuple(
             self.parse(text) for text in assume_nonzero
@@ -1547,90 +1552,83 @@ def antiderivative(e: Expr, s) -> Expr:
     ctx = e.ctx
     var = _resolve_symbol(ctx, s)
     nf = e.normal_form()
-    if nf.is_zero:
-        return ctx.number(0)
     total = sp.Integer(0)
     for (log_arg, has_rad), (num, den) in nf.parts:
-        piece = num / den
         factor = sp.Integer(1)
         if has_rad:
-            if nf.radicand is not None and var in nf.radicand.free_symbols:
-                raise NotIntegrableError(
-                    f"radicand depends on {var.name}"
-                )
-            factor = factor * sp.sqrt(nf.radicand)
+            if var in nf.radicand.free_symbols:
+                raise NotIntegrableError(f"radicand depends on {var.name}")
+            factor = sp.sqrt(nf.radicand)
         if log_arg is not None:
             if var in log_arg.free_symbols:
-                raise NotIntegrableError(
-                    f"logarithm argument depends on {var.name}"
-                )
-            factor = factor * sp.log(log_arg)
-        for a in piece.atoms(AppliedUndef):
-            info = ctx.classify_atom(a)
-            if info is not None and var in info[0].arg.free_symbols:
-                raise NotIntegrableError(
-                    f"function atom argument depends on {var.name}"
-                )
-        total += _integrate_rational(piece, var) * factor
+                raise NotIntegrableError(f"logarithm argument depends on {var.name}")
+            factor *= sp.log(log_arg)
+        atoms = map(ctx.classify_atom, num.atoms(AppliedUndef) | den.atoms(AppliedUndef))
+        if any(info and var in info[0].arg.free_symbols for info in atoms):
+            raise NotIntegrableError(f"function atom argument depends on {var.name}")
+        total += _integrate_rational(num, den, var) * factor
     return Expr(ctx, total).normalized()
 
 
-def _integrate_rational(piece: sp.Expr, var: sp.Symbol) -> sp.Expr:
-    if var not in piece.free_symbols:
-        return piece * var
-    try:
-        parts = sp.Add.make_args(sp.apart(piece, var))
-    except (sp.PolynomialError, NotImplementedError, ZeroDivisionError) as exc:
-        raise NotIntegrableError(str(exc)) from exc
-    total = sp.Integer(0)
-    for term in parts:
-        num, den = sp.fraction(sp.together(term))
-        dpoly = sp.Poly(den, var)
-        if dpoly.degree() == 0:
-            total += _integrate_polynomial(num / den, var)
-            continue
-        if sp.Poly(num, var).degree() > 0:
-            raise NotIntegrableError(f"improper partial fraction {term}")
-        base, power = _linear_power(dpoly, var)
-        if base is None:
+def _integrate_rational(num: sp.Expr, den: sp.Expr, var: sp.Symbol) -> sp.Expr:
+    """An antiderivative in var of num/den, expanded polynomials, by partial
+    fractions over K[var] with K the rational functions in the other
+    symbols.  See the module docstring."""
+    if var not in num.free_symbols | den.free_symbols:
+        return num / den * var
+    mask = {a: sp.Symbol(str(a)) for a in (num * den).atoms(AppliedUndef)}
+    num, den = num.xreplace(mask), den.xreplace(mask)
+    others = _sort_gens(sorted((num.free_symbols | den.free_symbols) - {var}, key=str))
+    ring = PolyRing((var,) + others, QQ, lex)
+    index = {g: i for i, g in enumerate(ring.symbols)}
+    K = FracField(others, QQ, lex).to_domain()
+    uni = PolyRing((var,), K, lex)
+    zero = K.zero
+
+    def in_var(p: PolyElement) -> PolyElement:
+        """p as an element of K[var]."""
+        coeffs: dict = {}
+        for (k, *m), c in p.items():
+            coeffs.setdefault((k,), {})[tuple(m)] = c
+        return uni.from_dict({k: K.field(K.field.ring.from_dict(c)) for k, c in coeffs.items()})
+
+    d = _ring_poly(ring, index, den)
+    D = in_var(d)
+    quo, rem = divmod(in_var(_ring_poly(ring, index, num)), D)
+    factors = [(f, k) for f, k in d.factor_list()[1] if f.degree(0)] if rem else []
+    for f, _ in factors:
+        if f.degree(0) > 1:
             raise NotIntegrableError(
-                f"denominator factor of degree > 1 in {var.name}: {den}"
+                f"denominator factor of degree > 1 in {var.name}: "
+                f"{f.as_expr().xreplace({m: a for a, m in mask.items()})}"
             )
-        const = sp.cancel(den / base**power)
-        if var in const.free_symbols:
-            raise NotIntegrableError(f"unexpected denominator shape {den}")
-        a = base.coeff(var, 1)
-        if power == 1:
-            total += (num / (const * a)) * sp.log(base)
-        else:
-            total += (num / (const * a)) * base ** (1 - power) / (1 - power)
-    return total
+    # the poles of order p >= 2 integrate to a rational part over shared
+    shared = functools.reduce(operator.mul, (f ** (k - 1) for f, k in factors), ring.one)
+    body = in_var(shared) * uni.from_dict({(k + 1,): c / (k + 1) for (k,), c in quo.items()})
+    logs = sp.Integer(0)
+    for f, k in factors:
+        F = in_var(f)
+        a, root = F.get((1,), zero), -F.get((0,), zero) / F.get((1,), zero)
+        # near root, num/den = y^-k * top(y)/bottom(y) with y = var - root = f/a
+        top, bottom = _taylor(rem, root, k), _taylor(D, root, 2 * k)[k:]
+        h = []
+        for j in range(k):
+            h.append((top[j] - sum((bottom[i] * h[j - i] for i in range(1, j + 1)), zero))
+                     / bottom[0])
+        logs += K.to_sympy(h[k - 1]) * sp.log(f.as_expr())
+        for p in range(2, k + 1):
+            body += in_var(shared.exquo(f ** (p - 1))) * (h[k - p] * a ** (p - 1) / (1 - p))
+    common, body = body.clear_denoms()
+    total = body.as_expr() / (K.to_sympy(common) * shared.as_expr()) + logs
+    return total.xreplace({m: a for a, m in mask.items()})
 
 
-def _integrate_polynomial(p: sp.Expr, var: sp.Symbol) -> sp.Expr:
-    poly = sp.Poly(p, var)
-    total = sp.Integer(0)
-    for (k,), coeff in poly.terms():
-        total += coeff * var ** (k + 1) / (k + 1)
-    return total
-
-
-def _linear_power(dpoly: sp.Poly, var: sp.Symbol):
-    """Match den = c * (a*var + b)^k; returns (a*var+b, k) or (None, 0)."""
-    try:
-        factors = sp.factor_list(dpoly.as_expr(), var)
-    except sp.PolynomialError:
-        return None, 0
-    linear = None
-    power = 0
-    for base, exp in factors[1]:
-        bp = sp.Poly(base, var)
-        if bp.degree() == 0:
-            continue
-        if bp.degree() > 1 or linear is not None:
-            return None, 0
-        linear = base
-        power = exp
-    if linear is None:
-        return None, 0
-    return linear, power
+def _taylor(p: PolyElement, root, n: int) -> list:
+    """The first n Taylor coefficients at root of p, univariate over a
+    field: the remainders of repeated synthetic division by var - root."""
+    zero = p.ring.domain.zero
+    coeffs, out = [p.get((m,), zero) for m in range(p.degree(), -1, -1)], []
+    for _ in range(n):
+        coeffs = list(itertools.accumulate(coeffs, lambda b, c: b * root + c))
+        out.append(coeffs.pop() if coeffs else zero)
+    return out
