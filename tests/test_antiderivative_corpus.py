@@ -29,19 +29,9 @@ from pathlib import Path
 import sympy as sp
 
 from pencil_forge import symcore as sc
+from test_kernel_corpus import _context
 
 CORPUS = Path(__file__).parent / "golden" / "kernel" / "antiderivative.jsonl.gz"
-
-
-@functools.lru_cache(maxsize=None)
-def _context(spec: str) -> sc.Context:
-    data = json.loads(spec)
-    return sc.Context(
-        fields=data["fields"],
-        independents=data["independents"],
-        parameters=data["parameters"],
-        functions=[tuple(f) for f in data["functions"]],
-    )
 
 
 @functools.lru_cache(maxsize=None)
