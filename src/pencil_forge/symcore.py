@@ -13,14 +13,18 @@ logarithm atoms and unevaluated univariate function atoms (with formal
 derivative symbols such as gamma', gamma'') are treated as algebraically
 independent.
 
-Normalization replaces logarithm atoms and the square root in the
-expression tree by generators.  Rational-function cancellation, the
-reduction modulo t^2 = s of the root generator t and the split into
+Normalization walks the tree once for zoo, oo and nan, the logarithm
+nodes and, outside them, the square roots, function atoms and symbols; it
+replaces logarithm atoms and the square root by generators and walks only
+the tree that replacement made again.  Rational-function cancellation,
+the reduction modulo t^2 = s of the root generator t and the split into
 components then run in sympy's sparse FracField/PolyRing over QQ in lex
-order, with function atoms as plain generators.  The tree enters that
-field through _field_value, which keeps each node as a polynomial times
-monic bases to signed powers: sums and products are ring arithmetic that
-keeps common factors and denominators factored, as sympy.together would.
+order, each function atom read as a generator named like it.  The tree
+enters that field through _field_value, which keeps each node as a
+polynomial times monic bases to signed powers: a sum of monomials is read
+straight into the ring with each generator's least exponent as a base,
+and other sums and products are ring arithmetic that keeps common factors
+and denominators factored, as sympy.together would.
 Denominator bases are divided out exactly where they divide, and a single
 GCD cancel at the end leaves the value in lowest terms; a value with no
 denominator left only has its coefficient denominators cleared.  A
@@ -434,9 +438,9 @@ def _sympy_fraction(
     q = q.mul_ground(factor)
     if q.is_ground and len(p) > 1:
         p, q = p.quo_ground(q.LC), q.ring.one
-    num = p.as_expr().xreplace(unmask)
-    den = q.as_expr().xreplace(unmask)
-    return num, den
+    if unmask:
+        return p.as_expr().xreplace(unmask), q.as_expr().xreplace(unmask)
+    return p.as_expr(), q.as_expr()
 
 
 def _exact_quotient(n: PolyElement, b: PolyElement) -> PolyElement | None:
@@ -507,24 +511,54 @@ def _node_sum(ring, terms: list) -> tuple[PolyElement, dict]:
     return total, common
 
 
-def _node(ring, gens: dict, node: sp.Expr) -> tuple[PolyElement, dict]:
+def _monomial(index: dict, n: int, node: sp.Expr) -> tuple[tuple, object] | None:
+    """node as (exponents, coefficient) if it is a rational times integer
+    powers of the expressions index maps to generator positions (n of
+    them), else None."""
+    monom, coeff = [0] * n, QQ.one
+    for f in node.args if node.is_Mul else (node,):
+        if f.is_Rational:
+            coeff = QQ(f.p, f.q)
+            continue
+        base, k = f.args if f.is_Pow else (f, sp.S.One)
+        if (i := index.get(base)) is None or not k.is_Integer:
+            return None
+        monom[i] += int(k)
+    return tuple(monom), coeff
+
+
+def _monomial_node(ring, terms: list) -> tuple[PolyElement, dict]:
+    """The sum of (exponents, coefficient) monomials, distinct as a sympy
+    sum's terms are, as the node _node_sum makes of it: each generator's
+    least exponent is pulled out as a base and the rest read into the ring."""
+    low = [min(e) for e in zip(*(m for m, _ in terms))]
+    poly = ring.from_terms((tuple(map(operator.sub, m, low)), c) for m, c in terms)
+    return poly, {ring.gens[i]: k for i, k in enumerate(low) if k}
+
+
+def _node(ring, index: dict, node: sp.Expr) -> tuple[PolyElement, dict]:
     """node as (poly, bases): poly times monic bases to signed powers, the
-    factors sympy.together would keep.  gens maps symbols to generators,
-    which are bases; a negative power makes its nonconstant poly a base (a
-    zero poly raises ZeroDivisionError) and a product adds exponents.  Any
-    other node goes to the domain, whose CoercionFailed marks an input that
-    is not a rational function."""
-    if node in gens:
-        return ring.one, {gens[node]: 1}
+    factors sympy.together would keep.  index maps symbols and function
+    atoms to generator positions, and generators are bases; monomials over
+    them are read straight into the ring.  A negative power makes its
+    nonconstant poly a base (a zero poly raises ZeroDivisionError) and a
+    product adds exponents.  Any other node goes to the domain, whose
+    CoercionFailed marks an input that is not a rational function."""
+    if node.is_Add:
+        read = [(a, _monomial(index, ring.ngens, a)) for a in node.args]
+        nodes = [_node(ring, index, a) for a, m in read if m is None]
+        if monomials := [m for _, m in read if m is not None]:
+            nodes.append(_monomial_node(ring, monomials))
+        return nodes[0] if len(nodes) == 1 else _node_sum(ring, nodes)
+    if (m := _monomial(index, ring.ngens, node)) is not None:
+        return _monomial_node(ring, [m])
     if node.is_Mul:
         poly, bases = ring.one, {}
-        for p, m in (_node(ring, gens, a) for a in node.args):
+        for p, m in (_node(ring, index, a) for a in node.args):
             poly, bases = poly * p, _merge(bases, m)
         return poly, bases
-    if node.is_Add:
-        return _node_sum(ring, [_node(ring, gens, a) for a in node.args])
     if node.is_Pow and node.exp.is_Integer:
-        (poly, m), k = _node(ring, gens, node.base), int(node.exp)
+        (poly, m), k = _node(ring, index, node.base), int(node.exp)
         bases = _merge({}, m, k)
         if k >= 0:
             return poly**k, bases
@@ -559,12 +593,13 @@ def _lowest_terms(field: FracField, poly: PolyElement, bases: dict) -> FracEleme
     return field.new(numer, den)
 
 
-def _field_value(field: FracField, e: sp.Expr) -> FracElement:
+def _field_value(field: FracField, e: sp.Expr, index: dict | None = None) -> FracElement:
     """e as an element of field: the value field.from_expr(e) gives, in the
     lowest terms PolyElement.cancel writes, built by _node and
-    _lowest_terms."""
-    gens = dict(zip(field.symbols, field.ring.gens))
-    return _lowest_terms(field, *_node(field.ring, gens, e))
+    _lowest_terms.  index maps what stands for each generator to its
+    position; by default each of field's symbols stands for itself."""
+    index = index or {s: i for i, s in enumerate(field.symbols)}
+    return _lowest_terms(field, *_node(field.ring, index, e))
 
 
 # Distinct expression trees kept by the normal-form and oracle memos below.
@@ -573,23 +608,58 @@ def _field_value(field: FracField, e: sp.Expr) -> FracElement:
 _MEMO_TREES = 2048
 
 
+_UNDEFINED = frozenset((sp.zoo, sp.oo, sp.nan))
+
+
+def _scan(*trees: sp.Expr) -> tuple[bool, set, set, set, set]:
+    """One walk of the trees, each shared subtree once: whether zoo, oo or
+    nan occurs anywhere, as Basic.has matches them; the log nodes; and
+    outside logs the half-integer powers, the outermost function atoms and,
+    outside those too, the symbols."""
+    undefined, logs, roots, atoms, symbols = False, set(), set(), set(), set()
+    stack = [(e, 0) for e in trees]  # 0 free, 1 in a function atom, 2 in a log
+    seen = set()
+    while stack:
+        if (item := stack.pop()) in seen:
+            continue
+        seen.add(item)
+        node, inside = item
+        if not node.args:
+            if node.is_Symbol and not inside:
+                symbols.add(node)
+            undefined = undefined or node in _UNDEFINED
+            continue
+        if isinstance(node, sp.log):
+            logs.add(node)
+            inside = 2
+        elif inside < 2:
+            if isinstance(node, AppliedUndef):
+                if not inside:
+                    atoms.add(node)
+                inside = 1
+            elif node.is_Pow and isinstance(node.exp, sp.Rational) and node.exp.q == 2:
+                roots.add(node)
+        stack.extend((a, inside) for a in node.args)
+    return undefined, logs, roots, atoms, symbols
+
+
 @functools.lru_cache(maxsize=_MEMO_TREES)
 def _normalize(raw: sp.Expr) -> _NormalForm:
     """The normal form of raw, a function of the tree alone.  Memoized: a
     run zero-tests and rebuilds the same trees many times, and the frozen
     result can be shared.  A NormalizationError is raised again on every
     call, since lru_cache stores only returned values."""
-    if raw.has(sp.zoo, sp.oo, sp.nan):
+    undefined, logs, roots, atoms, symbols = _scan(raw)
+    if undefined:
         raise NormalizationError("division by zero or undefined constant")
     e = raw
 
     # -- pull out logarithm atoms (before radicals; their arguments are
     #    required to be rational) ------------------------------------------
-    log_nodes = sorted(e.atoms(sp.log), key=sp.default_sort_key)
     log_syms: dict[sp.Expr, sp.Symbol] = {}
-    if log_nodes:
+    if logs:
         repl = {}
-        for node in log_nodes:
+        for node in sorted(logs, key=sp.default_sort_key):
             if any(
                 isinstance(p.exp, sp.Rational) and p.exp.q != 1
                 for p in node.args[0].atoms(sp.Pow)
@@ -604,17 +674,14 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
                 log_syms[arg] = _log_symbol(len(log_syms))
             repl[node] = log_syms[arg]
         e = e.xreplace(repl)
+        _, _, roots, atoms, symbols = _scan(e)
 
     # -- pull out square roots ------------------------------------------
-    half_pows = sorted(
-        (p for p in e.atoms(sp.Pow) if isinstance(p.exp, sp.Rational) and p.exp.q == 2),
-        key=sp.default_sort_key,
-    )
     radicand: sp.Expr | None = None
     t = _RADICAL
-    if half_pows:
+    if roots:
         repl = {}
-        for p in half_pows:
+        for p in sorted(roots, key=sp.default_sort_key):
             coeff, core = _canonical_radicand(p.base)
             k = int(p.exp * 2)  # odd integer
             if core == 0:
@@ -632,23 +699,21 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
                 )
             repl[p] = stem * t
         e = e.xreplace(repl)
+        _, _, _, atoms, symbols = _scan(e, *([radicand] if radicand is not None else []))
 
     # -- rational arithmetic in QQ(t, logs, rest), lex order ---------------
-    # Function atoms become plain generators named like the atom, so the
+    # Function atoms are plain generators named like the atom, so the
     # remaining generators sort exactly as sympy.cancel sorts them and the
     # lex leading coefficient of a denominator is the one cancel normalizes.
-    mask = {a: sp.Symbol(str(a)) for a in e.atoms(AppliedUndef)}
-    e = e.xreplace(mask)
+    mask = {a: sp.Symbol(str(a)) for a in atoms}
     ls = list(log_syms.values())
     lead = ([t] if radicand is not None else []) + ls
-    rest = set(e.free_symbols)
-    if radicand is not None:
-        radicand_masked = radicand.xreplace(mask)
-        rest |= radicand_masked.free_symbols
-    rest.difference_update(lead)
+    rest = symbols.union(mask.values()).difference(lead)
     field = FracField(tuple(lead) + _sort_gens(sorted(rest, key=str)), QQ, lex)
+    index = {s: i for i, s in enumerate(field.symbols)}
+    index.update((a, index[m]) for a, m in mask.items())
     try:
-        value = _field_value(field, e)
+        value = _field_value(field, e, index)
     except ZeroDivisionError as exc:
         raise NormalizationError("denominator vanishes identically") from exc
     except CoercionFailed as exc:
@@ -661,7 +726,7 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
 
     # -- reduce modulo t^2 = radicand -------------------------------------
     if radicand is not None:
-        S = ring.from_expr(radicand_masked)
+        S = _ring_poly(ring, index, radicand)
         rule = T**2 - S
         num = num.rem(rule)
         den = den.rem(rule)
@@ -1223,15 +1288,7 @@ def _resolve_symbol(e_ctx: Context, s) -> sp.Symbol:
 def _ring_poly(ring, index: dict, e: sp.Expr) -> PolyElement:
     """The expanded polynomial e, whose factors are keys of index (symbols
     and function atoms to generator positions), as a ring element."""
-    terms = {}
-    for term in sp.Add.make_args(e):
-        coeff, factors = term.as_coeff_mul()
-        monom = [0] * ring.ngens
-        for f in factors:
-            base, k = f.as_base_exp()
-            monom[index[base]] += int(k)
-        terms[tuple(monom)] = QQ(coeff.p, coeff.q)
-    return ring.from_dict(terms)
+    return ring.from_dict(dict(_monomial(index, ring.ngens, t) for t in sp.Add.make_args(e)))
 
 
 def _poly_derivative(dgens: dict, p: PolyElement) -> list:
@@ -1281,16 +1338,15 @@ def _derive(nf: _NormalForm, images: tuple) -> tuple[_NormalForm, sp.Expr]:
     ring = field.ring
     index = {g: i for i, g in enumerate(gens)}
     index.update({a: index[m] for a, m in mask.items()})
-    by_expr = {x: ring.gens[i] for x, i in index.items()}
 
     dgens = {index[s]: (_ring_poly(ring, index, image), {})
              for s, image in images if s in index}
     # nested atoms first: an argument may hold atoms declared before it
     for a in sorted(nexts, key=lambda a: len(a.args[0].atoms(AppliedUndef))):
-        arg = _node(ring, by_expr, a.args[0])
+        arg = _node(ring, index, a.args[0])
         dq, dm = _node_sum(ring, _derivative_terms(dgens, arg))
         if dq:
-            dgens[index[a]] = (by_expr[nexts[a]] * dq, dm)
+            dgens[index[a]] = (ring.gens[index[nexts[a]]] * dq, dm)
 
     def quotient(num: sp.Expr, den: sp.Expr) -> tuple:
         n, d = _ring_poly(ring, index, num), _ring_poly(ring, index, den)

@@ -287,3 +287,88 @@ class TestRadicandContent:
         )
         report = cat.verify_case(case)
         assert report.passed, report.to_dict()
+
+
+class TestSingleWalk:
+    # _normalize reads the tree in one walk; these pin what the separate
+    # has/atoms/free_symbols walks decided before it
+    @pytest.fixture
+    def nested(self):
+        return sc.Context(fields=("u", "v"), functions=(("g", "u"), ("f", "g(u) + v")))
+
+    def test_zoo_inside_log_argument(self):
+        raw = u * sp.log(u + sp.zoo, evaluate=False)
+        with pytest.raises(sc.NormalizationError,
+                           match="division by zero or undefined constant"):
+            sc._normalize.__wrapped__(raw)
+
+    def test_negative_infinity_is_not_rational(self):
+        # has(zoo, oo, nan) does not match -oo; the ring reader rejects it
+        with pytest.raises(sc.NormalizationError, match="not a rational function"):
+            sc._normalize.__wrapped__(u - sp.oo)
+
+    def test_symbol_inside_atom_argument_is_no_generator(self, ctx, monkeypatch):
+        made = []
+
+        def recorded(symbols, *args):
+            made.append(symbols)
+            return FracField(symbols, *args)
+
+        monkeypatch.setattr(sc, "FracField", recorded)
+        nf = sc._normalize.__wrapped__(ctx.parse("u*g12(v) + 1").raw)
+        assert made == [(u, G12)]
+        assert nf.parts == (((None, False), (u * ctx.parse("g12(v)").raw + 1, 1)),)
+
+    def test_nested_atoms(self, nested):
+        g = nested.parse("g(u)").raw
+        f, df = (nested.parse(f"{name}(g(u) + v)").raw for name in ("f", "f'"))
+        nf = nested.parse("f(g(u)+v)/(u - g(u)) + f'(g(u)+v)").normal_form()
+        assert nf.parts == (((None, False), (u * df + f - df * g, u - g)),)
+
+    def test_root_and_log(self, ctx):
+        nf = ctx.parse("sqrt(u+v)/(u - sqrt(u+v)) + ln(u/v)*(1 + sqrt(u+v))").normal_form()
+        den = u**2 - u - v
+        assert nf.radicand == u + v
+        assert nf.parts == (
+            ((None, False), (u + v, den)),
+            ((None, True), (u, den)),
+            ((u / v, False), (1, 1)),
+            ((u / v, True), (1, 1)),
+        )
+
+    def test_atom_only_in_radicand(self, ctx):
+        # the radicand's atoms are generators too; the separate walks took
+        # them from the rest of the tree only, and from_expr raised
+        # ValueError when the atom occurred nowhere else
+        nf = ctx.parse("u*sqrt(g12(v))").normal_form()
+        assert nf.radicand == ctx.parse("g12(v)").raw
+        assert nf.parts == (((None, True), (u, 1)),)
+
+    def test_plain_tree_is_walked_once(self, ctx, monkeypatch):
+        # no atoms/has/free_symbols walk and no rewrite of the input; with
+        # function atoms, only the output is unmasked by xreplace
+        rules = []
+
+        def refuse(name):
+            def method(self, *args, **kwargs):
+                raise AssertionError(f"Basic.{name} called on {self}")
+            return method
+
+        def xreplace(self, rule):
+            rules.append(rule)
+            return xreplace_(self, rule)
+
+        xreplace_ = sp.Basic.xreplace
+        monkeypatch.setattr(sp.Basic, "atoms", refuse("atoms"))
+        monkeypatch.setattr(sp.Basic, "has", refuse("has"))
+        monkeypatch.setattr(sp.Basic, "free_symbols", property(refuse("free_symbols")))
+        monkeypatch.setattr(sp.Basic, "xreplace", xreplace)
+        plain = (u - v) / (v - u + 2 * u * v * w) + (u + w) ** 2 / (3 * w)
+        assert len(sc._normalize.__wrapped__(plain).parts) == 1
+        assert rules == []
+        g12, f = sp.Function("g12")(v), sp.Function("f")(v - u)
+        sc._normalize.__wrapped__(plain + g12 * f / (1 - u * g12))
+        assert rules and all(
+            set(rule) == {sp.Symbol(str(g12)), sp.Symbol(str(f))} and set(rule.values()) == {g12, f}
+            for rule in rules
+        )
