@@ -53,7 +53,7 @@ def trees(draw):
 
 
 @hypothesis.settings(
-    max_examples=80, derandomize=True, deadline=None, database=None,
+    max_examples=60, derandomize=True, deadline=None, database=None,
     suppress_health_check=list(hypothesis.HealthCheck),
 )
 @hypothesis.given(e=trees())
