@@ -2,10 +2,13 @@
 
 normalize.jsonl.gz holds one JSON object per line for every distinct tree
 symcore._normalize receives while verifying the eleven built-in cases,
-printing their recursion and Magri goldens and verifying the five
-tests/golden/perturbed cases:
+printing their recursion and Magri goldens, verifying the five
+tests/golden/perturbed cases and verifying the eight case files of one
+seed of the benchmark's perturbed cases (perfbench/work/rejects-seed1)
+through cli.main:
 
-    {"case": first run that met it, e.g. "verify g9" or "perturbed g3-12",
+    {"case": first run that met it, e.g. "verify g9", "perturbed g3-12"
+     or "rejects g4-shift11-2u",
      "context": {"fields", "independents", "parameters",
                  "functions": [[name, argument text]]},
      "input": srepr of the tree,
@@ -47,7 +50,7 @@ def test_corpus_covers_every_run():
     entries = [entry for entry, _ in _entries()]
     assert len(entries) > 500
     assert len({e["input"] for e in entries}) == len(entries)
-    assert {e["case"].split()[0] for e in entries} >= {"verify", "magri", "perturbed"}
+    assert {e["case"].split()[0] for e in entries} >= {"verify", "magri", "perturbed", "rejects"}
     assert CORPUS.stat().st_size < 1_000_000
 
 
