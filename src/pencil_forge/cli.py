@@ -30,7 +30,9 @@ __all__ = ["main", "CaseFileError", "load_case_file", "validate_case_data"]
 
 
 def load_case_file(path: str) -> CaseRecord:
-    """Loads, schema-checks and parse-checks a case file."""
+    """Loads, schema-checks and parse-checks a case file, and takes the
+    normal form of every metric, isometry, epsilon and c entry, so an entry
+    outside the kernel's class is refused here."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -40,10 +42,9 @@ def load_case_file(path: str) -> CaseRecord:
         raise CaseFileError(f"invalid JSON in {path}: {exc}") from exc
     case = CaseRecord(data)
     try:
-        case.metric()
-        case.isometry()
-        case.epsilon()
-        case.c()
+        entries = [e for row in case.metric().entries for e in row]
+        for e in entries + [*case.isometry().components, case.epsilon(), case.c()]:
+            e.normal_form()
     except (sc.ParseError, ValueError) as exc:
         raise CaseFileError(f"expression error in {path}: {exc}") from exc
     return case

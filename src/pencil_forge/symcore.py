@@ -13,27 +13,30 @@ logarithm atoms and unevaluated univariate function atoms (with formal
 derivative symbols such as gamma', gamma'') are treated as algebraically
 independent.
 
-Normalization walks the tree once for zoo, oo and nan, the logarithm
-nodes and, outside them, the square roots, function atoms and symbols; it
-replaces logarithm atoms and the square root by generators and walks only
-the tree that replacement made again.  Rational-function cancellation,
-the reduction modulo t^2 = s of the root generator t and the split into
+Normalization reads the tree as it is and never rewrites it.  One walk
+(_scan) finds zoo, oo and nan, the logarithm nodes, the square roots,
+the outermost function atoms and the symbols, and it alone refuses a
+logarithm or radical inside a logarithm's argument, a radicand or a
+function atom's argument.  Rational-function cancellation, the
+reduction modulo t^2 = s of the root generator t and the split into
 components then run in sympy's sparse FracField/PolyRing over QQ in lex
-order, each function atom read as a generator named like it.  The tree
-enters that field through _field_value, which keeps each node as a
-polynomial times monic bases to signed powers: a sum of monomials is read
-straight into the ring with each generator's least exponent as a base,
-and other sums and products are ring arithmetic that keeps common factors
-and denominators factored, as sympy.together would.
-Denominator bases are divided out exactly where they divide, and a single
-GCD cancel at the end leaves the value in lowest terms; a value with no
-denominator left only has its coefficient denominators cleared.  A
-denominator c*(a + b*t), with c = gcd free of t, is rationalized by
-conjugating a + b*t alone.  Each component is converted back to an
-expanded sympy numerator and denominator.  Square-free decomposition of
-radicands still goes through sympy.sqf_list, memoized per radicand.  The
-grammar, the normal form and the decision procedures here are
-self-contained.
+order.  Each function atom is a generator itself, sorted by its text;
+each log node stands for the generator of its canonical argument; and
+each square root stands for its value stem or stem*t, computed once per
+root.  The tree enters that field through _field_value, which keeps
+each node as a polynomial times monic bases to signed powers: a sum of
+monomials is read straight into the ring with each generator's least
+exponent as a base, and other sums and products are ring arithmetic
+that keeps common factors and denominators factored, as sympy.together
+would.  Denominator bases are divided out exactly where they divide,
+and a single GCD cancel at the end leaves the value in lowest terms; a
+value with no denominator left only has its coefficient denominators
+cleared.  A denominator c*(a + b*t), with c = gcd free of t, is
+rationalized by conjugating a + b*t alone.  Each component is converted
+back to an expanded sympy numerator and denominator.  Square-free
+decomposition of radicands still goes through sympy.sqf_list, memoized
+per radicand.  The grammar, the normal form and the decision procedures
+here are self-contained.
 
 Differentiation builds no derivative tree and normalizes none.  diff and
 total_x_derivative are one derivation D of that ring, fixed by its value
@@ -386,10 +389,6 @@ def _canonical_radicand(r: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
     """Write sqrt(r) = coeff * sqrt(core) with core a canonical square-free
     polynomial; returns (coeff, core).  Memoized: one normalization meets
     the same radicand in every square root it holds."""
-    if any(
-        isinstance(p.exp, sp.Rational) and p.exp.q != 1 for p in r.atoms(sp.Pow)
-    ) or r.atoms(sp.log):
-        raise NormalizationError(f"nested radical or logarithm in radicand {r}")
     num, den = sp.fraction(sp.cancel(r))
     poly = sp.expand(num * den)
     if poly == 0:
@@ -410,20 +409,14 @@ def _canonical_radicand(r: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
     return coeff / den, core
 
 
-# Generators standing for the adjoined square root and the logarithm atoms
-# inside _normalize.  Their names are not identifiers, so no declared symbol
-# can collide with them; being fixed, they let sympy reuse its cached
-# polynomial rings across calls.
+# The generator standing for the adjoined square root inside _normalize,
+# as ln#0, ln#1, ... stand for the logarithm atoms.  Their names are not
+# identifiers, so no declared symbol can collide with them; being fixed,
+# they let sympy reuse its cached polynomial rings across calls.
 _RADICAL = sp.Symbol("sqrt#")
 
 
-def _log_symbol(i: int) -> sp.Symbol:
-    return sp.Symbol(f"ln#{i}")
-
-
-def _sympy_fraction(
-    p: PolyElement, q: PolyElement, unmask: dict
-) -> tuple[sp.Expr, sp.Expr]:
+def _sympy_fraction(p: PolyElement, q: PolyElement) -> tuple[sp.Expr, sp.Expr]:
     """(num, den) of p/q exactly as sympy.fraction(sympy.cancel(p/q)) with
     both parts expanded: integer coefficients without a common factor, a
     positive leading denominator coefficient, and a rational constant
@@ -438,8 +431,6 @@ def _sympy_fraction(
     q = q.mul_ground(factor)
     if q.is_ground and len(p) > 1:
         p, q = p.quo_ground(q.LC), q.ring.one
-    if unmask:
-        return p.as_expr().xreplace(unmask), q.as_expr().xreplace(unmask)
     return p.as_expr(), q.as_expr()
 
 
@@ -538,9 +529,10 @@ def _monomial_node(ring, terms: list) -> tuple[PolyElement, dict]:
 
 def _node(ring, index: dict, node: sp.Expr) -> tuple[PolyElement, dict]:
     """node as (poly, bases): poly times monic bases to signed powers, the
-    factors sympy.together would keep.  index maps symbols and function
-    atoms to generator positions, and generators are bases; monomials over
-    them are read straight into the ring.  A negative power makes its
+    factors sympy.together would keep.  index maps symbols, function atoms
+    and log nodes to generator positions, and generators are bases;
+    monomials over them are read straight into the ring.  It may also map
+    a square root to its (poly, bases) value.  A negative power makes its
     nonconstant poly a base (a zero poly raises ZeroDivisionError) and a
     product adds exponents.  Any other node goes to the domain, whose
     CoercionFailed marks an input that is not a rational function."""
@@ -567,6 +559,8 @@ def _node(ring, index: dict, node: sp.Expr) -> tuple[PolyElement, dict]:
         if not poly.is_ground:
             _merge(bases, {poly.monic(): k})
         return ring.ground_new(poly.LC**k), bases
+    if (value := index.get(node)) is not None:
+        return value
     return ring.ground_new(ring.domain.convert(node)), {}
 
 
@@ -609,38 +603,58 @@ _MEMO_TREES = 2048
 
 
 _UNDEFINED = frozenset((sp.zoo, sp.oo, sp.nan))
+# where _scan meets a node: free, inside a radicand, inside a logarithm's
+# argument or inside a function atom's argument
+_FREE, _ROOT, _LOG, _ATOM = range(4)
 
 
-def _scan(*trees: sp.Expr) -> tuple[bool, set, set, set, set]:
-    """One walk of the trees, each shared subtree once: whether zoo, oo or
-    nan occurs anywhere, as Basic.has matches them; the log nodes; and
-    outside logs the half-integer powers, the outermost function atoms and,
-    outside those too, the symbols."""
-    undefined, logs, roots, atoms, symbols = False, set(), set(), set(), set()
-    stack = [(e, 0) for e in trees]  # 0 free, 1 in a function atom, 2 in a log
+def _scan(*trees: sp.Expr) -> tuple[set, set, set, set]:
+    """One walk of the trees, each shared subtree once: the log nodes and
+    square roots, the outermost function atoms outside logs, and the
+    symbols outside atoms and logs.  Raises NormalizationError at the end
+    if zoo, oo or nan occurs anywhere, as Basic.has matches them, and
+    otherwise if a logarithm or a radical (a non-integer rational power)
+    occurs inside a logarithm's argument, a radicand or a function atom's
+    argument."""
+    undefined, nested = False, []
+    logs, roots, atoms, symbols = set(), set(), set(), set()
+    stack = [(e, _FREE, None) for e in trees]  # node, where, the node it is inside
     seen = set()
     while stack:
         if (item := stack.pop()) in seen:
             continue
         seen.add(item)
-        node, inside = item
+        node, inside, owner = item
         if not node.args:
-            if node.is_Symbol and not inside:
+            if inside < _LOG and node.is_Symbol:
                 symbols.add(node)
             undefined = undefined or node in _UNDEFINED
             continue
-        if isinstance(node, sp.log):
-            logs.add(node)
-            inside = 2
-        elif inside < 2:
-            if isinstance(node, AppliedUndef):
-                if not inside:
-                    atoms.add(node)
-                inside = 1
-            elif node.is_Pow and isinstance(node.exp, sp.Rational) and node.exp.q == 2:
+        is_log = isinstance(node, sp.log)
+        if is_log or node.is_Pow and isinstance(node.exp, sp.Rational) and node.exp.q != 1:
+            if inside:
+                nested.append((inside, owner, node))
+            elif is_log:
+                logs.add(node)
+                inside, owner = _LOG, node
+            elif node.exp.q == 2:
                 roots.add(node)
-        stack.extend((a, inside) for a in node.args)
-    return undefined, logs, roots, atoms, symbols
+                inside, owner = _ROOT, node
+        elif isinstance(node, AppliedUndef):
+            if inside < _LOG:
+                atoms.add(node)
+            inside, owner = _ATOM, node
+        stack.extend((a, inside, owner) for a in node.args)
+    if undefined:
+        raise NormalizationError("division by zero or undefined constant")
+    if nested:
+        inside, owner, node = min(nested, key=lambda n: (-n[0], sp.default_sort_key(n[1])))
+        if inside == _ROOT:
+            raise NormalizationError(f"nested radical or logarithm in radicand {owner.base}")
+        kind = "logarithm" if isinstance(node, sp.log) else "radical"
+        where = "logarithm" if inside == _LOG else "function atom"
+        raise NormalizationError(f"{kind} inside {where} argument {owner.args[0]}")
+    return logs, roots, atoms, symbols
 
 
 @functools.lru_cache(maxsize=_MEMO_TREES)
@@ -649,77 +663,54 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
     run zero-tests and rebuilds the same trees many times, and the frozen
     result can be shared.  A NormalizationError is raised again on every
     call, since lru_cache stores only returned values."""
-    undefined, logs, roots, atoms, symbols = _scan(raw)
-    if undefined:
-        raise NormalizationError("division by zero or undefined constant")
-    e = raw
+    logs, roots, atoms, symbols = _scan(raw)
 
-    # -- pull out logarithm atoms (before radicals; their arguments are
-    #    required to be rational) ------------------------------------------
-    log_syms: dict[sp.Expr, sp.Symbol] = {}
-    if logs:
-        repl = {}
-        for node in sorted(logs, key=sp.default_sort_key):
-            if any(
-                isinstance(p.exp, sp.Rational) and p.exp.q != 1
-                for p in node.args[0].atoms(sp.Pow)
-            ):
-                raise NormalizationError(
-                    f"radical inside logarithm argument {node.args[0]}"
-                )
-            arg = sp.cancel(node.args[0])
-            anum, aden = sp.fraction(arg)
-            arg = sp.expand(anum) / sp.expand(aden)
-            if arg not in log_syms:
-                log_syms[arg] = _log_symbol(len(log_syms))
-            repl[node] = log_syms[arg]
-        e = e.xreplace(repl)
-        _, _, roots, atoms, symbols = _scan(e)
+    # -- logarithm atoms: one generator per canonical argument -------------
+    log_args = {}
+    for node in sorted(logs, key=sp.default_sort_key):
+        anum, aden = sp.fraction(sp.cancel(node.args[0]))
+        log_args[node] = sp.expand(anum) / sp.expand(aden)
+    log_syms = {arg: sp.Symbol(f"ln#{i}")
+                for i, arg in enumerate(dict.fromkeys(log_args.values()))}
 
-    # -- pull out square roots ------------------------------------------
+    # -- square roots: stem * sqrt(radicand), one radicand at most ---------
     radicand: sp.Expr | None = None
-    t = _RADICAL
-    if roots:
-        repl = {}
-        for p in sorted(roots, key=sp.default_sort_key):
-            coeff, core = _canonical_radicand(p.base)
-            k = int(p.exp * 2)  # odd integer
-            if core == 0:
-                repl[p] = sp.Integer(0)
-                continue
-            stem = p.base ** ((k - 1) // 2) * coeff
-            if core == 1:
-                repl[p] = stem
-                continue
-            if radicand is None:
-                radicand = core
-            elif sp.expand(radicand - core) != 0:
-                raise MultipleRadicandsError(
-                    f"distinct radicands {radicand} and {core}"
-                )
-            repl[p] = stem * t
-        e = e.xreplace(repl)
-        _, _, _, atoms, symbols = _scan(e, *([radicand] if radicand is not None else []))
+    stems = {}
+    for p in sorted(roots, key=sp.default_sort_key):
+        coeff, core = _canonical_radicand(p.base)  # coeff is 0 where core is
+        with_t = core not in (0, 1)
+        stems[p] = (p.base ** ((int(p.exp * 2) - 1) // 2) * coeff, with_t)
+        if not with_t:
+            continue
+        if radicand is None:
+            radicand = core
+        elif sp.expand(radicand - core) != 0:
+            raise MultipleRadicandsError(f"distinct radicands {radicand} and {core}")
 
     # -- rational arithmetic in QQ(t, logs, rest), lex order ---------------
-    # Function atoms are plain generators named like the atom, so the
-    # remaining generators sort exactly as sympy.cancel sorts them and the
-    # lex leading coefficient of a denominator is the one cancel normalizes.
-    mask = {a: sp.Symbol(str(a)) for a in atoms}
+    # Function atoms are generators themselves, and _sort_gens orders them
+    # by their text, so the remaining generators sort exactly as
+    # sympy.cancel sorts them and the lex leading coefficient of a
+    # denominator is the one cancel normalizes.  index maps each symbol,
+    # function atom and log node to its generator and each root to its
+    # (poly, bases) value, stem or stem*t.
     ls = list(log_syms.values())
-    lead = ([t] if radicand is not None else []) + ls
-    rest = symbols.union(mask.values()).difference(lead)
-    field = FracField(tuple(lead) + _sort_gens(sorted(rest, key=str)), QQ, lex)
+    lead = ([_RADICAL] if radicand is not None else []) + ls
+    field = FracField(tuple(lead) + _sort_gens(sorted(symbols | atoms, key=str)), QQ, lex)
+    ring = field.ring
     index = {s: i for i, s in enumerate(field.symbols)}
-    index.update((a, index[m]) for a, m in mask.items())
+    index.update((node, index[log_syms[arg]]) for node, arg in log_args.items())
+    T = ring.gens[0] if radicand is not None else None
     try:
-        value = _field_value(field, e, index)
+        for p, (stem, with_t) in stems.items():
+            index[p] = _node(ring, index, stem)
+            if with_t:
+                index[p] = _times(index[p], (ring.one, {T: 1}))
+        value = _field_value(field, raw, index)
     except ZeroDivisionError as exc:
         raise NormalizationError("denominator vanishes identically") from exc
     except CoercionFailed as exc:
         raise NormalizationError(f"not a rational function: {raw}") from exc
-    ring = field.ring
-    T = ring.gens[0] if radicand is not None else None
     first_log = len(lead) - len(ls)
     log_gens = ring.gens[first_log:len(lead)]
     num, den = value.numer, value.denom
@@ -753,7 +744,6 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
             raise NonlinearLogarithmError("logarithm atoms occur non-linearly")
 
     # -- split into components ---------------------------------------------
-    unmask = {s: a for a, s in mask.items()}
     inv_log = {v: k for k, v in log_syms.items()}
     parts: list[tuple[tuple[sp.Expr | None, bool], tuple[sp.Expr, sp.Expr]]] = []
 
@@ -766,7 +756,7 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
         for has_rad, comp in comps:
             if not comp:
                 continue
-            fnum, fden = _sympy_fraction(*comp.cancel(den), unmask)
+            fnum, fden = _sympy_fraction(*comp.cancel(den))
             parts.append(((log_arg, has_rad), (fnum, fden)))
 
     if ls:
@@ -1324,20 +1314,16 @@ def _derive(nf: _NormalForm, images: tuple) -> tuple[_NormalForm, sp.Expr]:
     if nf.radicand is not None:
         exprs.append(nf.radicand)
     atoms = set().union(*(x.atoms(AppliedUndef) for x in exprs))
-    for a in list(atoms):
-        atoms |= a.args[0].atoms(AppliedUndef)
     symbols = set().union(*(x.free_symbols for x in exprs))
     nexts = {a: sp.Function(a.func.__name__ + "'")(a.args[0]) for a in atoms
              if any(s in a.free_symbols for s, _ in images)}
     for s, image in images:
         if s in symbols:
             symbols |= image.free_symbols
-    mask = {a: sp.Symbol(str(a)) for a in atoms | set(nexts.values())}
-    gens = _sort_gens(sorted(symbols | set(mask.values()), key=str))
+    gens = _sort_gens(sorted(symbols | atoms | set(nexts.values()), key=str))
     field = FracField(gens, QQ, lex)
     ring = field.ring
     index = {g: i for i, g in enumerate(gens)}
-    index.update({a: index[m] for a, m in mask.items()})
 
     dgens = {index[s]: (_ring_poly(ring, index, image), {})
              for s, image in images if s in index}
@@ -1369,7 +1355,6 @@ def _derive(nf: _NormalForm, images: tuple) -> tuple[_NormalForm, sp.Expr]:
         root = [(q / 2, m) for q, m in log_derivative((nf.radicand, 1))]
     keys = [(None, r) for r in (False, True) if any(k[1] == r for k in coeffs)]
     keys += [k for k in coeffs if k[0] is not None]
-    unmask = {m: a for a, m in mask.items()}
     parts = []
     for key in keys:
         L, has_rad = key
@@ -1384,7 +1369,7 @@ def _derive(nf: _NormalForm, images: tuple) -> tuple[_NormalForm, sp.Expr]:
                     terms += [_times(c, t) for t in logs[L2]]
         value = _lowest_terms(field, *_node_sum(ring, terms))
         if value:
-            parts.append((key, _sympy_fraction(value.numer, value.denom, unmask)))
+            parts.append((key, _sympy_fraction(value.numer, value.denom)))
     used_radical = any(has_rad for (_, has_rad), _ in parts)
     out = _NormalForm(nf.radicand if used_radical else None, tuple(parts))
     return out, out.rebuild()
@@ -1630,11 +1615,10 @@ def _integrate_rational(num: sp.Expr, den: sp.Expr, var: sp.Symbol) -> sp.Expr:
     """An antiderivative in var of num/den, expanded polynomials, by partial
     fractions over K[var] with K the rational functions in the other
     symbols.  See the module docstring."""
-    if var not in num.free_symbols | den.free_symbols:
+    _, _, atoms, symbols = _scan(num, den)
+    if var not in symbols:
         return num / den * var
-    mask = {a: sp.Symbol(str(a)) for a in (num * den).atoms(AppliedUndef)}
-    num, den = num.xreplace(mask), den.xreplace(mask)
-    others = _sort_gens(sorted((num.free_symbols | den.free_symbols) - {var}, key=str))
+    others = _sort_gens(sorted((symbols | atoms) - {var}, key=str))
     ring = PolyRing((var,) + others, QQ, lex)
     index = {g: i for i, g in enumerate(ring.symbols)}
     K = FracField(others, QQ, lex).to_domain()
@@ -1655,8 +1639,7 @@ def _integrate_rational(num: sp.Expr, den: sp.Expr, var: sp.Symbol) -> sp.Expr:
     for f, _ in factors:
         if f.degree(0) > 1:
             raise NotIntegrableError(
-                f"denominator factor of degree > 1 in {var.name}: "
-                f"{f.as_expr().xreplace({m: a for a, m in mask.items()})}"
+                f"denominator factor of degree > 1 in {var.name}: {f.as_expr()}"
             )
     # the poles of order p >= 2 integrate to a rational part over shared
     shared = functools.reduce(operator.mul, (f ** (k - 1) for f, k in factors), ring.one)
@@ -1675,8 +1658,7 @@ def _integrate_rational(num: sp.Expr, den: sp.Expr, var: sp.Symbol) -> sp.Expr:
         for p in range(2, k + 1):
             body += in_var(shared.exquo(f ** (p - 1))) * (h[k - p] * a ** (p - 1) / (1 - p))
     common, body = body.clear_denoms()
-    total = body.as_expr() / (K.to_sympy(common) * shared.as_expr()) + logs
-    return total.xreplace({m: a for a, m in mask.items()})
+    return body.as_expr() / (K.to_sympy(common) * shared.as_expr()) + logs
 
 
 def _taylor(p: PolyElement, root, n: int) -> list:

@@ -40,6 +40,24 @@ def test_case_file_exits_two(tmp_path, capsys, change, message):
     assert captured.err.splitlines() == [f"error: expression error in {path}: {message}"]
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"metric": [["sqrt(ln(u))", "0"], ["0", "1"]]},
+     "nested radical or logarithm in radicand log(u)"),
+    ({"isometry": ["u*sqrt(1 + ln(u))", "0"]},
+     "nested radical or logarithm in radicand log(u) + 1"),
+    ({"epsilon": "ln(ln(alpha))"}, "logarithm inside logarithm argument log(alpha)"),
+    ({"c": "sqrt(1 + sqrt(alpha))"}, "nested radical or logarithm in radicand sqrt(alpha) + 1"),
+])
+def test_entry_without_normal_form_exits_two(tmp_path, capsys, change, message):
+    # each entry parses, but lies outside the class the kernel normalizes
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**FLAT, **change}))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: expression error in {path}: {message}"]
+
+
 def test_in_memory_record_reports_well_formed_error():
     report = cat.verify_case(cat.CaseRecord({**FLAT, "epsilon": "alpha*v"}))
     assert [(c.name, c.status) for c in report.checks] == [("well_formed", "error")]

@@ -1,8 +1,10 @@
-"""Property: normalization is idempotent.  The canonical tree of a normal
-form, nf.rebuild(), normalizes back to nf.  The trees are random rational
-functions with function atoms in them, plus a multiple of one square root,
-a multiple of one logarithm, both, and a root in a denominator.  The seed
-is fixed and the example count bounded."""
+"""Properties: normalization is idempotent, and parse∘render is the
+identity.  The canonical tree of a normal form, nf.rebuild(), normalizes
+back to nf, and the rendered text of a value parses to a value with the
+same normal form.  The trees are random rational functions with function
+atoms in them, plus a multiple of one square root, a multiple of one
+logarithm, both, and a root in a denominator.  The seed is fixed and the
+example count bounded."""
 
 import pytest
 import sympy as sp
@@ -64,3 +66,19 @@ def test_normalize_is_idempotent(e):
     except sc.NormalizationError:
         hypothesis.assume(False)  # a denominator that vanishes, say
     assert sc._normalize.__wrapped__(nf.rebuild()) == nf
+
+
+@hypothesis.settings(
+    max_examples=40, derandomize=True, deadline=None, database=None,
+    suppress_health_check=list(hypothesis.HealthCheck),
+)
+@hypothesis.given(e=trees())
+def test_parse_render_is_identity(e):
+    hypothesis.assume(not e.has(sp.zoo, sp.nan))
+    value = sc.Expr(CTX, e)
+    try:
+        text = sc.render(value)
+    except sc.NormalizationError:
+        hypothesis.assume(False)  # a denominator that vanishes, say
+    assert "#" not in text
+    assert CTX.parse(text).normal_form() == value.normal_form()
