@@ -678,6 +678,8 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
     stems = {}
     for p in sorted(roots, key=sp.default_sort_key):
         coeff, core = _canonical_radicand(p.base)  # coeff is 0 where core is
+        if core == 0 and p.exp < 0:
+            raise NormalizationError("denominator vanishes identically")
         with_t = core not in (0, 1)
         stems[p] = (p.base ** ((int(p.exp * 2) - 1) // 2) * coeff, with_t)
         if not with_t:

@@ -243,6 +243,7 @@ class TestRadicalConjugation:
 class TestRejection:
     @pytest.mark.parametrize("text, message", [
         ("1/((u+1)^2 - u^2 - 2*u - 1)", "denominator vanishes identically"),
+        ("u/sqrt((u+1)^2 - u^2 - 2*u - 1) + 1", "denominator vanishes identically"),
         ("sqrt(sqrt(u))", "not a rational function"),
     ])
     def test_rejection_message(self, ctx, text, message):
