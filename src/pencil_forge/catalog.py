@@ -108,15 +108,19 @@ _FIELD_KINDS = ("field", "parameter")
 
 
 def _parse_in(ctx: Context, text: str, what: str, kinds: tuple[str, ...]) -> Expr:
-    """ctx.parse(text); raises ValueError when the tree holds a symbol whose
-    kind is not in kinds, such as x, t or a jet symbol in a metric entry.
-    Function atoms count by the symbols of their argument."""
+    """ctx.parse(text); raises ValueError when the value has no normal form or
+    holds a symbol whose kind is not in kinds, such as x, t or a jet symbol
+    in a metric entry.  Function atoms count by the symbols of their argument."""
     e = ctx.parse(text)
     bad = sorted(s.name for s in e.raw.free_symbols if ctx.kind(s.name) not in kinds)
     if bad:
         raise ValueError(
             f"{what} {text!r} holds {', '.join(bad)}, which is not a {' or '.join(kinds)}"
         )
+    try:
+        e.normal_form()
+    except ValueError as exc:
+        raise ValueError(f"{what} {text!r} has no normal form: {exc}") from exc
     return e
 
 

@@ -9,9 +9,9 @@ density, and list or export the builtin catalog.  Reports go to stdout
 closed before the whole report was written, as when a pipe's reader exits.
 
 The environment variable PENCIL_FORGE_PROBES (an integer point count)
-enables the numeric safety oracle behind every zero test.  The oracle
-evaluates each distinct expression tree once per process and reuses its
-verdict for every later zero test of an equal tree.
+enables the oracle behind every zero test: exact evaluation modulo the
+prime 2^61 - 1 at that many seeded rational points, once per distinct
+expression tree and process, its verdict reused for equal trees.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ __all__ = ["main", "CaseFileError", "load_case_file", "validate_case_data"]
 
 
 def load_case_file(path: str) -> CaseRecord:
-    """Loads, schema-checks and parse-checks a case file, and takes the
-    normal form of every metric, isometry, epsilon and c entry, so an entry
-    outside the kernel's class is refused here."""
+    """Loads, schema-checks and parse-checks a case file; the parse takes
+    the normal form of every metric, isometry, epsilon and c entry, so an
+    entry outside the kernel's class is refused here, by name and text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -42,9 +42,7 @@ def load_case_file(path: str) -> CaseRecord:
         raise CaseFileError(f"invalid JSON in {path}: {exc}") from exc
     case = CaseRecord(data)
     try:
-        entries = [e for row in case.metric().entries for e in row]
-        for e in entries + [*case.isometry().components, case.epsilon(), case.c()]:
-            e.normal_form()
+        case.metric(), case.isometry(), case.epsilon(), case.c()
     except (sc.ParseError, ValueError) as exc:
         raise CaseFileError(f"expression error in {path}: {exc}") from exc
     return case
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify first-order Hamiltonian operators of hydrodynamic"
                     " type, their isometry extensions, and operator pairs.",
         epilog="Set PENCIL_FORGE_PROBES=<n> to cross-check every zero test"
-               " numerically at n random rational points.",
+               " by exact evaluation at n seeded rational points.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

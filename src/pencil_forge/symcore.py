@@ -62,14 +62,18 @@ coefficients of p/q at r, by synthetic division, give the principal part.
 A simple pole gives ln(f) with f as factor_list returns it, so log atoms
 keep that form; higher poles sum to one fraction over prod f^(k-1).
 
-The normal form and the numeric oracle's verdict are pure functions of
-the expression tree (sympy trees hash and compare structurally), so both
-are memoized process-wide in bounded caches: each distinct tree is
-normalized once and, with probes on, evaluated by the oracle once per
-process, at sample points seeded from the tree alone.  Every zero test
-still counts in probe_report(), and a disagreement is recorded on every
-zero test that meets it.  set_probe_points() and reset_probe_state()
-clear the verdict memo.
+With probes on, an oracle cross-checks every zero test by evaluating the
+sympy tree alone, with no normal-form code, at seeded rational points: a
+batch of points is one walk of the tree's DAG, each node a column of
+values in GF(p), p = 2^61 - 1.  sqrt(r) for r in Q is c*sqrt(s), s an
+integer naming r's square class (principal branch), and ln(a) for a > 0 is
+sum e*ln(q) over the prime powers q^e of a, each ln(q) a formal generator
+(Baker 1966).  A nonzero rational function of degree d vanishes at a
+random point with probability at most d/p (Schwartz 1980).  The normal
+form and the verdict are pure functions of the tree (sympy trees hash and
+compare structurally), memoized process-wide in bounded caches; the
+points are seeded from the tree.  Every zero test counts in
+probe_report(), and each that meets a disagreement records it.
 """
 
 from __future__ import annotations
@@ -86,7 +90,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import mpmath
 import sympy as sp
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
@@ -519,11 +522,15 @@ def _monomial(index: dict, n: int, node: sp.Expr) -> tuple[tuple, object] | None
 
 
 def _monomial_node(ring, terms: list) -> tuple[PolyElement, dict]:
-    """The sum of (exponents, coefficient) monomials, distinct as a sympy
-    sum's terms are, as the node _node_sum makes of it: each generator's
-    least exponent is pulled out as a base and the rest read into the ring."""
+    """The sum of (exponents, coefficient) monomials as the node _node_sum
+    makes of it: each generator's least exponent is pulled out as a base and
+    the rest read into the ring.  Equal monomials, which only log nodes of
+    one canonical argument give, are summed."""
     low = [min(e) for e in zip(*(m for m, _ in terms))]
-    poly = ring.from_terms((tuple(map(operator.sub, m, low)), c) for m, c in terms)
+    terms = [(tuple(map(operator.sub, m, low)), c) for m, c in terms]
+    poly = ring.from_terms(terms)
+    if len(poly) < len(terms):
+        poly = functools.reduce(operator.add, (ring({m: c}) for m, c in terms))
     return poly, {ring.gens[i]: k for i, k in enumerate(low) if k}
 
 
@@ -1446,7 +1453,7 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Zero test with optional numeric safety probes
+# Zero test with an optional exact probe oracle
 
 
 def is_zero(e: Expr) -> bool:
@@ -1463,8 +1470,8 @@ def is_zero(e: Expr) -> bool:
 
 
 class _ProbeState:
-    """Cross-checks is_zero decisions by exact-or-high-precision evaluation
-    at random rational points; disagreements are recorded, never raised."""
+    """Cross-checks is_zero decisions by exact evaluation at seeded
+    rational points; disagreements are recorded, never raised."""
 
     def __init__(self, points: int):
         self.points = points
@@ -1514,74 +1521,174 @@ def probe_report() -> tuple[int, list[str]]:
 def _probe_expression(
     raw: sp.Expr, assumption_raws: tuple[sp.Expr, ...], points: int
 ) -> bool | None:
-    """Returns True if raw evaluates to zero at all sampled points, False if
-    some point is clearly nonzero, None when evaluation keeps failing.
-    Points where an assumption (a raw tree) vanishes are skipped.
-
-    The sample points are seeded from the tree alone, so the verdict is a
-    function of the arguments and is memoized: each distinct tree is
-    evaluated once per process.  The assumptions enter as raw trees, not
-    as Expr objects, whose hash would normalize them."""
-    masked = raw.xreplace({a: sp.Symbol(str(a)) for a in raw.atoms(AppliedUndef)})
-    syms = sorted(masked.free_symbols, key=lambda s: s.name)
-    if not syms:
-        syms = [sp.Dummy("unused")]
-    try:
-        fn = sp.lambdify(syms, masked, modules="mpmath")
-    except Exception:
-        return None
-    assumption_fns = []
-    sym_set = set(syms)
-    for a in assumption_raws:
-        a_free = a.free_symbols
-        if a_free and a_free <= sym_set:
-            asyms = sorted(a_free, key=lambda s: s.name)
-            assumption_fns.append(
-                (asyms, sp.lambdify(asyms, a, modules="mpmath"))
-            )
-    seed = int(hashlib.sha256(sp.srepr(masked).encode()).hexdigest()[:12], 16)
-    rng = random.Random(seed)
-    old_dps = mpmath.mp.dps
-    mpmath.mp.dps = 60
-    try:
-        sampled = 0
-        attempts = 0
-        saw_nonzero = False
-        while sampled < points and attempts < 40 * points:
-            attempts += 1
-            point = {
-                s: mpmath.mpf(rng.randint(1, 40)) / mpmath.mpf(rng.randint(1, 9))
-                for s in syms
-            }
-            try:
-                ok = True
-                for asyms, afn in assumption_fns:
-                    v = afn(*[point[s] for s in asyms])
-                    if abs(v) < mpmath.mpf("1e-25"):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                val = fn(*[point[s] for s in syms])
-            except (ZeroDivisionError, ValueError, OverflowError, TypeError):
-                continue
-            except mpmath.libmp.NoConvergence:
-                continue
-            try:
-                mag = abs(val)
-            except TypeError:
-                continue
-            if not mpmath.isfinite(mag):
-                continue
-            sampled += 1
-            if mag > mpmath.mpf("1e-24"):
-                saw_nonzero = True
-                break
-        if sampled == 0:
+    """False if raw is not zero at some sampled point, True if it is zero at
+    all, None if none was sampled or raw holds a node the oracle does not
+    know.  Points where a value is undefined or an assumption (a raw tree,
+    whose hash normalizes nothing) is zero are redrawn, up to 40*points
+    draws.  Each variable, a symbol or a function atom named by its text,
+    takes randint(1,40)/randint(1,9) per point in name order."""
+    masked, names = _variables(raw)
+    checks = [a for a in assumption_raws if (v := _variables(a)[1]) and v <= names]
+    names = sorted(names) or [""]  # a constant tree draws one unused pair per point
+    rng = random.Random(int(hashlib.sha256(sp.srepr(masked).encode()).hexdigest()[:12], 16))
+    sampled = attempts = 0
+    while sampled < points and attempts < 40 * points:
+        n = min(points - sampled, 40 * points - attempts)
+        attempts += n
+        draws = [[(rng.randint(1, 40), rng.randint(1, 9)) for _ in names] for _ in range(n)]
+        batch = _Columns(dict(zip(names, zip(*draws))), n)
+        try:
+            for a in checks:
+                batch.dead.update(i for i, v in enumerate(batch.column(a)) if not v)
+            values = batch.column(raw)
+        except _Unknown:
             return None
-        return not saw_nonzero
-    finally:
-        mpmath.mp.dps = old_dps
+        live = [v for i, v in enumerate(values) if i not in batch.dead]
+        if any(live):
+            return False
+        sampled += len(live)
+    return True if sampled else None
+
+
+def _variables(tree: sp.Expr) -> tuple[sp.Expr, set[str]]:
+    """tree with each function atom masked by a symbol named by its text,
+    and the names of its symbols."""
+    tree = tree.xreplace({a: sp.Symbol(str(a)) for a in tree.atoms(AppliedUndef)})
+    return tree, {s.name for s in tree.free_symbols}
+
+
+_P = 2**61 - 1  # the oracle computes modulo this Mersenne prime
+_INV = [0] + [pow(b, -1, _P) for b in range(1, 10)]  # of the drawn denominators
+_ONE = (1, ())  # the basis element 1: square class 1 and no logarithm
+
+
+class _Unknown(Exception):
+    """A node the oracle does not evaluate."""
+
+
+def _residue(num: int, den: int) -> int:
+    return num * pow(den, _P - 2, _P) % _P
+
+
+class _Columns:
+    """A column per node for a batch of n points (draws maps each variable to
+    its (num, den) per point): residues mod _P where rational, and above a
+    root or a log {(s, logs): r} for r*sqrt(s)*prod(ln(q) for q in logs), s
+    a square class of the point; exact Fractions in radicands and log
+    arguments.  A point where a value is undefined joins dead."""
+
+    def __init__(self, draws: dict, n: int):
+        self.draws, self.n, self.dead = draws, n, set()
+        self.classes = [[1] for _ in range(n)]
+        self.memo = ({}, {})  # residue columns, exact columns
+
+    def column(self, node: sp.Expr, exact: bool = False) -> list:
+        if (col := self.memo[exact].get(node)) is None:
+            col = self.memo[exact][node] = self._column(node, exact)
+        return col
+
+    def _each(self, col: list, fn) -> list:
+        """fn(entry, the point's classes) at each point; None marks it dead."""
+        out = [fn(x, cls) for x, cls in zip(col, self.classes)]
+        self.dead.update(i for i, v in enumerate(out) if v is None)
+        return [{} if v is None else v for v in out]
+
+    def _column(self, node: sp.Expr, exact: bool) -> list:
+        if node.is_Rational:
+            if not exact and node.p and (node.p % _P == 0 or node.q % _P == 0):
+                raise _Unknown  # its residue is 0 or undefined
+            return [(Fraction if exact else _residue)(node.p, node.q)] * self.n
+        if node.is_Symbol or isinstance(node, AppliedUndef):
+            return [Fraction(a, b) if exact else a * _INV[b] % _P
+                    for a, b in self.draws[str(node)]]
+        if node.is_Add or node.is_Mul:
+            cols, op = [self.column(a, exact) for a in node.args], sum if node.is_Add else math.prod
+            if exact:
+                return [op(t) for t in zip(*cols)]
+            if all(type(c[0]) is int for c in cols):
+                return [op(t) % _P for t in zip(*cols)]
+            rows = list(zip(*(c if type(c[0]) is dict else
+                              [{_ONE: v} if v else {} for v in c] for c in cols)))
+            if node.is_Add:
+                return [_sum(r) for r in rows]
+            return self._each(rows, lambda r, cls: functools.reduce(
+                lambda x, y: _probe_product(x, y, cls), r))
+        if node.is_Pow and node.exp.is_Integer:
+            col, k = self.column(node.base, exact), int(node.exp)
+            if k < 0:
+                self.dead.update(i for i, x in enumerate(col) if not x)
+            if exact:
+                return [x**k if x else x for x in col]
+            if type(col[0]) is int:
+                return [pow(x, k, _P) if x else 0 for x in col]
+            return self._each(col, lambda x, cls: _probe_power(x, k, cls))
+        if not exact and node.is_Pow and node.exp.is_Rational and node.exp.q == 2:
+            k = int(node.exp * 2)
+            return self._each(self.column(node.base, True), lambda r, cls: _root(r, k, cls))
+        if not exact and isinstance(node, sp.log):
+            return self._each(self.column(node.args[0], True), _log)
+        raise _Unknown
+
+
+def _sum(values) -> dict:
+    out = {}
+    for v in values:
+        for key, c in v.items():
+            out[key] = (out.get(key, 0) + c) % _P
+    return {key: c for key, c in out.items() if c}
+
+
+def _square_class(m: int, classes: list) -> tuple[Fraction, int]:
+    """(c, s) with sqrt(m) = c*sqrt(s), c > 0, for an integer m != 0: s is the
+    first of the point's classes with m*s a square, else m opens a class."""
+    for s in classes:
+        if m * s > 0 and math.isqrt(m * s) ** 2 == m * s:
+            return Fraction(math.isqrt(m * s), abs(s)), s
+    classes.append(m)
+    return Fraction(1), m
+
+
+def _root(r: Fraction, k: int, classes: list) -> dict | None:
+    """r^(k/2) for odd k, with sqrt(r) = sqrt(num*den)/den = c*sqrt(s)/den;
+    None for a negative power of 0."""
+    if not r:
+        return None if k < 0 else {}
+    c, s = _square_class(r.numerator * r.denominator, classes)
+    v = _residue(*(r ** ((k - 1) // 2) * c / r.denominator).as_integer_ratio())
+    return {(s, ()): v} if v else {}
+
+
+def _log(a: Fraction, classes: list) -> dict | None:
+    """ln(a) = sum of e*ln(q) over the prime powers q^e of a; None for a <= 0."""
+    if a > 0:
+        return {(1, (q,)): e for q, e in sp.factorint(a.numerator).items()} | {
+            (1, (q,)): -e % _P for q, e in sp.factorint(a.denominator).items()}
+
+
+def _probe_product(x: dict, y: dict, classes: list) -> dict:
+    """x*y on the principal branch: sqrt(s)*sqrt(t) = -sqrt(s*t) for s, t < 0."""
+    terms = []
+    for (s, logs), c in x.items():
+        for (t, more), d in y.items():
+            k, r = (1, s * t) if s == 1 or t == 1 else _square_class(s * t, classes)
+            k = _residue(-k.numerator if s < 0 and t < 0 else k.numerator, k.denominator)
+            terms.append({(r, tuple(sorted(logs + more))): c * d * k})
+    return _sum(terms)
+
+
+def _probe_power(x: dict, k: int, classes: list) -> dict | None:
+    """x^k, inverting x = a + b*sqrt(s) as (a - b*sqrt(s))/(a^2 - b^2*s) for
+    k < 0; None where x is 0 or holds a logarithm or two irrational classes."""
+    if k < 0:
+        rest = [(key, c) for key, c in x.items() if key != _ONE]
+        if len(rest) > 1 or rest and rest[0][0][1]:
+            return None
+        a, ((s, _), b) = x.get(_ONE, 0), rest[0] if rest else (_ONE, 0)
+        if not (norm := (a * a - b * b * s) % _P):
+            return None
+        inv = pow(norm, -1, _P)
+        x, k = _sum([{_ONE: a * inv}, {(s, ()): -b * inv}]), -k
+    return functools.reduce(lambda y, _: _probe_product(y, x, classes), range(k), {_ONE: 1})
 
 
 # ---------------------------------------------------------------------------

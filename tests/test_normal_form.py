@@ -403,3 +403,18 @@ class TestSingleWalk:
         g12, f = sp.Function("g12")(v), sp.Function("f")(v - u)
         sc._normalize.__wrapped__(plain + g12 * f / (1 - u * g12))
         assert rules == []
+
+
+class TestSharedLogArgument:
+    # two log nodes whose arguments cancel to one canonical argument share
+    # its generator, and their terms are summed, not one of them dropped
+    @pytest.mark.parametrize("text, rendered", [
+        ("ln((u^2-1)/(u-1)) + ln(u+1)", "2*ln(1 + u)"),
+        ("ln((u^2-1)/(u-1)) - ln(u+1)", "0"),
+        ("u*ln((u^2-1)/(u-1)) - u*ln(u+1)", "0"),
+        ("(ln((u^2-1)/(u-1)) - ln(u+1))^2", "0"),
+    ])
+    def test_terms_are_summed(self, ctx, text, rendered):
+        e = ctx.parse(text)
+        assert sc.render(e) == rendered
+        assert sc.is_zero(e) == (rendered == "0")

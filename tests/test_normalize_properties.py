@@ -3,8 +3,9 @@ identity.  The canonical tree of a normal form, nf.rebuild(), normalizes
 back to nf, and the rendered text of a value parses to a value with the
 same normal form.  The trees are random rational functions with function
 atoms in them, plus a multiple of one square root, a multiple of one
-logarithm, both, and a root in a denominator.  The seed is fixed and the
-example count bounded."""
+logarithm, both, and a root in a denominator; parse∘render also meets
+reciprocals of sums, which render as a lone negative power.  The seed is
+fixed and the example count bounded."""
 
 import pytest
 import sympy as sp
@@ -41,6 +42,14 @@ def rationals(draw):
 
 
 @st.composite
+def reciprocals(draw):
+    """1/p^k for p a sum of distinct generators and a constant: a value
+    whose canonical tree is a lone negative power."""
+    gens = draw(st.lists(st.sampled_from(GENS), min_size=1, max_size=3, unique=True))
+    return sp.Add(*gens, draw(st.integers(0, 3))) ** -draw(st.integers(1, 2))
+
+
+@st.composite
 def trees(draw):
     root = sp.sqrt(draw(st.sampled_from(RADICANDS)))
     log = sp.log(draw(st.sampled_from(LOG_ARGS)))
@@ -55,7 +64,7 @@ def trees(draw):
 
 
 @hypothesis.settings(
-    max_examples=60, derandomize=True, deadline=None, database=None,
+    max_examples=80, derandomize=True, deadline=None, database=None,
     suppress_health_check=list(hypothesis.HealthCheck),
 )
 @hypothesis.given(e=trees())
@@ -72,7 +81,7 @@ def test_normalize_is_idempotent(e):
     max_examples=40, derandomize=True, deadline=None, database=None,
     suppress_health_check=list(hypothesis.HealthCheck),
 )
-@hypothesis.given(e=trees())
+@hypothesis.given(e=st.one_of(trees(), reciprocals()))
 def test_parse_render_is_identity(e):
     hypothesis.assume(not e.has(sp.zoo, sp.nan))
     value = sc.Expr(CTX, e)

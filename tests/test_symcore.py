@@ -415,3 +415,45 @@ class TestProbes:
                 continue
             val = sp.cancel(e.raw.subs(point))
             assert val == 0
+
+    def test_tiny_constant_is_not_zero(self, ctx):
+        # exact residues: no tolerance calls u/10^30 zero
+        sc.set_probe_points(100)
+        assert not sc.is_zero(ctx.parse("u/10^30"))
+        assert sc.probe_report() == (1, [])
+
+    def test_roots_agree(self, ctx):
+        sc.set_probe_points(100)
+        texts = [
+            "sqrt(4*u) - 2*sqrt(u)",
+            "sqrt(u/v) - sqrt(u*v)/v",
+            "1/(sqrt(u)+v) - (sqrt(u)-v)/(u-v^2)",
+            "sqrt(-u)*sqrt(-u) + u",
+        ]
+        for text in texts:
+            assert sc.is_zero(ctx.parse(text))
+        assert sc.probe_report() == (len(texts), [])
+
+    def test_root_branches(self):
+        # sqrt(-u)*sqrt(-v) = -sqrt(u*v) on the principal branch
+        u, v = sp.symbols("u v")
+        root = lambda e: sp.Pow(e, sp.Rational(1, 2), evaluate=False)
+        assert sc._probe_expression(root(-u) * root(-v) + root(u * v), (), 100) is True
+        assert sc._probe_expression(root(-u) * root(-v) - root(u * v), (), 100) is False
+        assert sc._probe_expression(root(4 * u) - 2 * root(u), (), 100) is True
+
+    @pytest.mark.parametrize("text, zero", [
+        ("ln(u^2) - 2*ln(u)", True),
+        ("ln(u*v) - ln(u) - ln(v)", True),
+        ("ln(6) - ln(2) - ln(3)", True),
+        ("ln(u) - ln(v)", False),
+    ])
+    def test_log_identities(self, ctx, text, zero):
+        # the oracle keeps flagging what the kernel's log atoms miss
+        assert sc._probe_expression(ctx.parse(text).raw, (), 100) is zero
+
+    def test_unknown_node_gives_none(self):
+        u = sp.Symbol("u")
+        for raw in (sp.exp(u) - 1, u ** sp.Rational(1, 3), sp.log(sp.sqrt(u)),
+                    sp.Float("0.5") * u, sp.pi * u):
+            assert sc._probe_expression(raw, (), 100) is None
