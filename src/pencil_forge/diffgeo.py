@@ -10,23 +10,49 @@ Conventions (all indices 1-based in the docs, 0-based in code):
   + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}, raised to
   R^{ij}_{kl} = g^{is} R^j_{skl}.
 
-Matrix inversion is by exact adjugate over determinant; all results are
-normalized kernel expressions.
+The connection and the curvature are computed over a factor basis fixed
+per metric (_Factored): the irreducible factors, by factor_list, of the
+entries' denominators, of det(g)'s denominator and of the norm of its
+numerator, of the radicand and of the denominators of function-atom
+arguments.  Christoffel symbols and curvature only differentiate,
+multiply and add, so every denominator they reach is a product of those
+bases.  A value is a pair (num, exps), num * prod(bases[i]^exps[i]), num
+a polynomial reduced modulo t^2 = s in one ring per metric: a product
+adds exponents, a sum takes each base's least exponent and multiplies
+each numerator by the powers it lacks, and d/du is the quotient rule on
+the pair.  None of these runs a GCD or a cancel, and a value is zero
+exactly when num is.  A value leaves the algebra, as the Expr entries of
+Connection and CurvatureTensor, in lowest terms: each denominator base is
+divided out of each numerator component as often as it divides exactly,
+and the Expr carries the normal form _normalize would give it.  A metric
+outside the algebra's reach (an entry with a logarithm, two radicands,
+or an entry without a normal form) takes the tree path instead: the same
+formulas on Exprs, each kept entry normalized.
 
-Every index contraction in the package goes through contract (a sum of
-terms over one index, added left to right onto zero), and every tensor
-table is built by tensor (an n x ... x n nested tuple from an index
-function).  Neither normalizes: callers normalize where a value is kept.
+The inverse metric of Metric.covariant is the exact adjugate over the
+determinant, as Expr trees.  Every other index contraction in the
+package goes through contract (a sum of terms over one index, added left
+to right onto zero), and every tensor table is built by tensor (an
+n x ... x n nested tuple from an index function); neither normalizes.
 Every vanishing condition is decided by first_nonzero, the one scan: it
 zero-tests components in a given order and returns the first nonzero one.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Sequence
+
+import sympy as sp
+from sympy.core.function import AppliedUndef
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement, PolyRing
 
 from . import symcore as sc
 from .symcore import Context, Expr
@@ -136,6 +162,8 @@ class Metric:
         self._inverse: ExprMatrix | None = None
         self._connection: "Connection | None" = None
         self._curvature: "CurvatureTensor | None" = None
+        self._factored: "_Factored | None | bool" = False  # False: not yet built
+        self._lower_values: tuple | None = None
 
     @property
     def det(self) -> Expr:
@@ -161,6 +189,13 @@ class Metric:
     def is_degenerate(self) -> bool:
         return sc.is_zero(self.det)
 
+    def _algebra(self) -> "_Factored | None":
+        """The metric's factored algebra, or None for a metric outside its
+        reach (see the module docstring)."""
+        if self._factored is False:
+            self._factored = _Factored.of(self)
+        return self._factored
+
     def __getitem__(self, ij: tuple[int, int]) -> Expr:
         return self.entries[ij[0]][ij[1]]
 
@@ -169,6 +204,260 @@ class Metric:
             ", ".join(str(e) for e in row) for row in self.entries
         )
         return f"Metric[{rows}]"
+
+
+# ---------------------------------------------------------------------------
+# The factored algebra
+
+
+Value = tuple[PolyElement, tuple[int, ...]]
+
+
+class _Factored:
+    """Values num * prod(bases[i]^exps[i]) over one metric's factor basis;
+    see the module docstring."""
+
+    @classmethod
+    def of(cls, g: Metric) -> "_Factored | None":
+        try:
+            forms = [e.normal_form() for row in g.entries for e in row]
+        except sc.NormalizationError:
+            return None
+        forms.append(g.det.normal_form())
+        if forms[-1].is_zero:
+            raise DegenerateMetricError("determinant vanishes identically")
+        radicands = {f.radicand for f in forms} - {None}
+        if len(radicands) > 1 or any(L is not None for f in forms for (L, _), _ in f.parts):
+            return None
+        ctx = functools.reduce(sc._join, (e.ctx for row in g.entries for e in row), g.ctx)
+        return cls(ctx, forms, next(iter(radicands), None))
+
+    def __init__(self, ctx: Context, forms: list, radicand: sp.Expr | None):
+        self.ctx = ctx
+        self.radicand = radicand
+        exprs = [x for f in forms for _, pair in f.parts for x in pair]
+        exprs += [radicand] if radicand is not None else []
+        atoms = set().union(*(x.atoms(AppliedUndef) for x in exprs))
+        symbols = set().union(*(x.free_symbols for x in exprs))
+        # the curvature differentiates the entries twice, and
+        # constant_curvature its value once more
+        self.next_atom = {}
+        for a in list(atoms):
+            for _ in range(3):
+                self.next_atom[a] = a = sp.Function(a.func.__name__ + "'")(*a.args)
+                atoms.add(a)
+        lead = [sc._RADICAL] if radicand is not None else []
+        self.gens = tuple(lead) + _sort_gens(sorted(symbols | atoms, key=str))
+        self.ring = ring = PolyRing(self.gens, QQ, lex)
+        self.index = {s: i for i, s in enumerate(self.gens)}
+        self.T = ring.gens[0] if radicand is not None else None
+        self.S = self.poly(radicand) if radicand is not None else None
+
+        self.atom_args = {a: sc._normalize(a.args[0]) for a in atoms}
+        self.bases: list[PolyElement] = []
+        self._powers: dict[tuple, PolyElement] = {}
+        self._extend(self.S)
+        for f in forms + list(self.atom_args.values()):
+            for _, (_, den) in f.parts:
+                self._extend(self.poly(den))
+        # det(g) = (A + B*t) * prod(bases^e), so 1/det(g) = (A - B*t)/N *
+        # prod(bases^-e) with N = A^2 - B^2*s, the norm of its numerator
+        det, e = self._from_form(forms[-1])
+        A, B = self._split_t(det)
+        norm = A * A - B * B * self.S if B else A
+        self._extend(norm)
+        self.zeros = (0,) * len(self.bases)
+        self.zero = (ring.zero, self.zeros)
+        self.one = (ring.one, self.zeros)
+        c, f = self.split(norm)
+        self.inverse_det = (
+            (A - B * self.T if B else ring.one).quo_ground(c),
+            tuple(-a - b for a, b in zip(f, e + (0,) * (len(f) - len(e)))),
+        )
+        self.entries = [self._from_form(f) for f in forms[:-1]]
+        self._dgens: dict[tuple[int, int], Value | None] = {}
+        self._dbases: dict[tuple[int, int], Value] = {}
+        self._dargs: dict[tuple[sp.Expr, int], Value] = {}
+
+    # -- construction ---------------------------------------------------------
+
+    def poly(self, e: sp.Expr) -> PolyElement:
+        return sc._ring_poly(self.ring, self.index, e)
+
+    def _extend(self, p: PolyElement | None):
+        """Adds the irreducible factors of p missing from the basis."""
+        if p is None or p.is_ground:
+            return
+        for f, _ in p.factor_list()[1]:
+            f = f.monic()
+            if f not in self.bases:
+                self.bases.append(f)
+
+    def split(self, p: PolyElement) -> tuple[object, tuple[int, ...]]:
+        """(c, e) with p = c * prod(bases^e), by exact division."""
+        e = [0] * len(self.bases)
+        for i, b in enumerate(self.bases):
+            while (q := sc._exact_quotient(p, b)) is not None:
+                p, e[i] = q, e[i] + 1
+        if not p.is_ground:
+            raise ValueError(f"factor {p.as_expr()} is outside the metric's factor basis")
+        return p.LC, tuple(e)
+
+    def _from_form(self, form) -> Value:
+        """The value of a log-free normal form, with exponents over the
+        basis as it stands."""
+        terms = []
+        for (_, has_rad), (num, den) in form.parts:
+            c, e = self.split(self.poly(den))
+            p = self.poly(num).quo_ground(c)
+            terms.append((p * self.T if has_rad else p, tuple(-k for k in e)))
+        return self.sum(terms)
+
+    def _split_t(self, p: PolyElement) -> tuple[PolyElement, PolyElement]:
+        """(a, b) with p = a + b*t."""
+        if self.T is None:
+            return p, self.ring.zero
+        a = self.ring.from_dict({m: c for m, c in p.items() if not m[0]})
+        return a, self.ring.from_dict({(0,) + m[1:]: c for m, c in p.items() if m[0]})
+
+    # -- arithmetic -------------------------------------------------------------
+
+    def _reduce(self, p: PolyElement) -> PolyElement:
+        """p modulo t^2 - s."""
+        if self.T is None or p.degree(0) < 2:
+            return p
+        low = self.ring.from_dict({m: c for m, c in p.items() if m[0] < 2})
+        high = self.ring.from_dict({(m[0] - 2,) + m[1:]: c for m, c in p.items() if m[0] >= 2})
+        return low + self._reduce(high * self.S)
+
+    def _power(self, e: tuple[int, ...]) -> PolyElement:
+        """prod(bases^e) for e >= 0."""
+        if e not in self._powers:
+            self._powers[e] = functools.reduce(
+                operator.mul, (b**k for b, k in zip(self.bases, e) if k), self.ring.one)
+        return self._powers[e]
+
+    def sum(self, terms: Iterable[Value]) -> Value:
+        terms = [t for t in terms if t[0]]
+        if len(terms) < 2:
+            return terms[0] if terms else self.zero
+        low = tuple(map(min, *(e for _, e in terms)))
+        total = self.ring.zero
+        for p, e in terms:
+            if e != low:
+                p = p * self._power(tuple(map(operator.sub, e, low)))
+            total += p
+        return (total, low) if total else self.zero
+
+    def mul(self, x: Value, y: Value) -> Value:
+        if not (x[0] and y[0]):
+            return self.zero
+        return self._reduce(x[0] * y[0]), tuple(map(operator.add, x[1], y[1]))
+
+    def scale(self, x: Value, c) -> Value:
+        return x[0].mul_ground(QQ.convert(c)), x[1]
+
+    # -- derivatives --------------------------------------------------------------
+
+    def d(self, x: Value, k: int) -> Value:
+        """d/du^k of x by the quotient rule on the pair:
+        D(num * B) = D(num) * B + num * sum_i e_i D(b_i)/b_i * B."""
+        num, e = x
+        if not num:
+            return self.zero
+        terms = [self.mul(self._d_poly(num, k), (self.ring.one, e))]
+        for i, ei in enumerate(e):
+            if ei and (db := self._d_base(i, k))[0]:
+                unit = tuple(-(j == i) for j in range(len(e)))
+                terms.append(self.mul((num.mul_ground(ei), e), (db[0], tuple(
+                    map(operator.add, db[1], unit)))))
+        return self.sum(terms)
+
+    def _d_poly(self, p: PolyElement, k: int) -> Value:
+        return self.sum(
+            self.mul((p.diff(j), self.zeros), dg)
+            for j, deg in enumerate(p.degrees())
+            if deg and (dg := self._d_gen(j, k)) is not None
+        )
+
+    def _d_base(self, i: int, k: int) -> Value:
+        if (i, k) not in self._dbases:
+            self._dbases[i, k] = self._d_poly(self.bases[i], k)
+        return self._dbases[i, k]
+
+    def _d_gen(self, j: int, k: int) -> Value | None:
+        """d/du^k of generator j: 1 on u^k, t * D(s)/(2*s) on the root
+        generator t, f^(m+1)(arg) * D(arg) on an atom f^(m)(arg)."""
+        if (j, k) not in self._dgens:
+            gen, out = self.gens[j], None
+            if gen == self.ctx.field_syms[k]:
+                out = self.one
+            elif self.T is not None and j == 0:
+                c, e = self.split(self.S)
+                out = self.mul(self._d_poly(self.S, k),
+                               (self.T.quo_ground(2 * c), tuple(-a for a in e)))
+            elif gen in self.atom_args:
+                darg = self._d_arg(gen, k)
+                if darg[0]:
+                    nxt = self.ring.gens[self.index[self.next_atom[gen]]]
+                    out = self.mul((nxt, self.zeros), darg)
+            self._dgens[j, k] = out if out is None or out[0] else None
+        return self._dgens[j, k]
+
+    def _d_arg(self, atom: sp.Expr, k: int) -> Value:
+        """d/du^k of the atom's argument."""
+        if (atom, k) not in self._dargs:
+            self._dargs[atom, k] = self.d(self._from_form(self.atom_args[atom]), k)
+        return self._dargs[atom, k]
+
+    # -- emission -------------------------------------------------------------------
+
+    def emit(self, x: Value, raw: Expr | None = None) -> Expr:
+        """x as an Expr in lowest terms: each denominator base divided out
+        of each numerator component as often as it divides exactly.  raw,
+        an Expr of the same value, gives the Expr's tree and context."""
+        num, e = x
+        num = num * self._power(tuple(max(k, 0) for k in e))
+        parts = []
+        for has_rad, comp in zip((False, True), self._split_t(num)):
+            if not comp:
+                continue
+            den = self.ring.one
+            for b, k in zip(self.bases, e):
+                while k < 0 and (q := sc._exact_quotient(comp, b)) is not None:
+                    comp, k = q, k + 1
+                if k < 0:
+                    den *= b**-k
+            parts.append((has_rad, comp, den))
+        if raw is None:
+            return sc._emitted(self.ctx, self.radicand, parts)
+        return sc._emitted(raw.ctx, self.radicand, parts, raw.raw)
+
+
+def _det_values(alg: _Factored, rows: Sequence[Sequence[Value]]) -> Value:
+    """Determinant by cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    return alg.sum(
+        alg.mul(rows[0][j], alg.scale(_det_values(alg, [r[:j] + r[j + 1:] for r in rows[1:]]),
+                                      (-1) ** j))
+        for j in range(n)
+    )
+
+
+def _covariant_values(alg: _Factored, n: int) -> tuple:
+    """g_{ij} = adj(g)_{ij} / det(g) as values."""
+    rows = [alg.entries[i * n:(i + 1) * n] for i in range(n)]
+    if n == 1:
+        return ((alg.inverse_det,),)
+    return tensor(n, 2, lambda i, j: alg.mul(alg.scale(_det_values(alg, [
+        [rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j
+    ]), (-1) ** (i + j)), alg.inverse_det))
+
+
+# ---------------------------------------------------------------------------
+# Connection and curvature
 
 
 @dataclass(frozen=True)
@@ -186,13 +475,16 @@ class Connection:
 
 class CurvatureTensor:
     """mixed[i][j][k][l] = R^i_{jkl}; raised (R^{ij}_{kl} = g^{is} R^j_{skl})
-    is materialized on first access.  Both are antisymmetric in (k, l)."""
+    is materialized on first access by the raise_ callable.  Both are
+    antisymmetric in (k, l)."""
 
-    def __init__(self, metric: "Metric", mixed: tuple):
+    def __init__(self, metric: "Metric", mixed: tuple, raise_: Callable[[], tuple]):
         self.ctx = metric.ctx
         self.metric = metric
         self.mixed = mixed
+        self._raise = raise_
         self._raised: tuple | None = None
+        self._raised_values: tuple | None = None  # k < l, on the factored path
 
     @property
     def n(self) -> int:
@@ -205,10 +497,7 @@ class CurvatureTensor:
     @property
     def raised(self) -> tuple:
         if self._raised is None:
-            self._raised = _skew_tensor(
-                self.ctx, self.n,
-                lambda i, j, k, l: self.raised_component(self.metric, i, j, k, l),
-            )
+            self._raised = self._raise()
         return self._raised
 
     def first_nonzero(self) -> tuple[int, int, int, int, Expr] | None:
@@ -217,14 +506,12 @@ class CurvatureTensor:
         return first_nonzero(skew_indices(self.n), lambda i, j, k, l: self.mixed[i][j][k][l])
 
 
-def _skew_tensor(ctx: Context, n: int, component: Callable[..., Expr]) -> tuple:
-    """T[i][j][k][l] antisymmetric in (k, l): component(i, j, k, l)
-    normalized for k < l, its normalized negative for k > l, zero on k = l."""
-    upper = tensor(n, 4, lambda i, j, k, l: component(i, j, k, l).normalized() if k < l else None)
+def _skew_tensor(ctx: Context, n: int, upper: Callable[..., Expr],
+                 lower: Callable[..., Expr]) -> tuple:
+    """T[i][j][k][l] antisymmetric in (k, l): upper(i, j, k, l) for k < l,
+    lower(i, j, k, l) for k > l, zero on k = l."""
     return tensor(n, 4, lambda i, j, k, l: (
-        upper[i][j][k][l] if k < l
-        else (-upper[i][j][l][k]).normalized() if k > l
-        else ctx.number(0)
+        upper(i, j, k, l) if k < l else lower(i, j, k, l) if k > l else ctx.number(0)
     ))
 
 
@@ -246,6 +533,82 @@ def levi_civita(g: Metric) -> Connection:
         return g._connection
     if not g.is_symmetric():
         raise ValueError("metric must be symmetric")
+    alg = g._algebra()
+    if alg is None:
+        g._connection = _tree_connection(g)
+        return g._connection
+    n = g.n
+    entries = tensor(n, 2, lambda i, j: alg.entries[i * n + j])
+    cov = _covariant_values(alg, n)
+    d_cov = tensor(n, 3, lambda i, j, k: alg.d(cov[i][j], k))
+    lower = tensor(n, 3, lambda i, j, k: alg.scale(alg.sum(
+        alg.mul(entries[i][s], alg.sum((
+            d_cov[s][k][j], d_cov[s][j][k], alg.scale(d_cov[j][k][s], -1))))
+        for s in range(n)
+    ), QQ(1, 2)))
+    raised = tensor(n, 3, lambda i, j, k: alg.scale(alg.sum(
+        alg.mul(entries[i][s], lower[j][s][k]) for s in range(n)
+    ), -1))
+    g._lower_values = lower
+    emit = alg.emit
+    g._connection = Connection(
+        alg.ctx,
+        tensor(n, 3, lambda i, j, k: emit(lower[i][j][k])),
+        tensor(n, 3, lambda i, j, k: emit(raised[i][j][k])),
+    )
+    return g._connection
+
+
+def riemann(g: Metric) -> CurvatureTensor:
+    """Curvature of the Levi-Civita connection; only k < l components are
+    computed, the rest follow by antisymmetry."""
+    if g._curvature is not None:
+        return g._curvature
+    levi_civita(g)
+    alg = g._algebra()
+    if alg is None:
+        g._curvature = _tree_curvature(g)
+        return g._curvature
+    gamma = g._lower_values
+    n = g.n
+    d_gamma = functools.lru_cache(maxsize=None)(
+        lambda i, j, k, m: alg.d(gamma[i][j][k], m))
+    mixed = tensor(n, 4, lambda i, j, k, l: alg.sum((
+        d_gamma(i, l, j, k), alg.scale(d_gamma(i, k, j, l), -1),
+        *(alg.mul(gamma[i][k][s], gamma[s][l][j]) for s in range(n)),
+        *(alg.scale(alg.mul(gamma[i][l][s], gamma[s][k][j]), -1) for s in range(n)),
+    )) if k < l else None)
+    entries = tensor(n, 2, lambda i, j: alg.entries[i * n + j])
+
+    def raised():
+        curv._raised_values = tensor(n, 4, lambda i, j, k, l: alg.sum(
+            alg.mul(entries[i][s], mixed[j][s][k][l]) for s in range(n)
+        ) if k < l else None)
+        return _emitted_skew(g.ctx, alg, curv._raised_values)
+
+    curv = g._curvature = CurvatureTensor(g, _emitted_skew(g.ctx, alg, mixed), raised)
+    return curv
+
+
+def _skew_value(alg: _Factored, values: tuple, i: int, j: int, k: int, l: int) -> Value:
+    """Entry (i, j, k, l) of the antisymmetric table given for k < l."""
+    if k == l:
+        return alg.zero
+    return values[i][j][k][l] if k < l else alg.scale(values[i][j][l][k], -1)
+
+
+def _emitted_skew(ctx: Context, alg: _Factored, values: tuple) -> tuple:
+    """The antisymmetric table of the values given for k < l, emitted."""
+    upper = tensor(len(values), 4, lambda i, j, k, l: (
+        alg.emit(values[i][j][k][l]) if k < l else None))
+    return _skew_tensor(
+        ctx, len(values), lambda i, j, k, l: upper[i][j][k][l],
+        lambda i, j, k, l: alg.emit(alg.scale(values[i][j][l][k], -1)),
+    )
+
+
+def _tree_connection(g: Metric) -> Connection:
+    """The connection on Expr trees, each kept entry normalized."""
     n = g.n
     ctx = g.ctx
     cov = g.covariant
@@ -257,34 +620,32 @@ def levi_civita(g: Metric) -> Connection:
     raised = tensor(n, 3, lambda i, j, k: contract(
         ctx, n, lambda s: -(g.entries[i][s] * lower[j][s][k])
     ).normalized())
-    g._connection = Connection(ctx, lower, raised)
-    return g._connection
+    return Connection(ctx, lower, raised)
 
 
-def riemann(g: Metric) -> CurvatureTensor:
-    """Curvature of the Levi-Civita connection; only k < l components are
-    computed, the rest follow by antisymmetry."""
-    if g._curvature is not None:
-        return g._curvature
+def _tree_curvature(g: Metric) -> CurvatureTensor:
+    """The curvature on Expr trees, each kept entry normalized."""
     gamma = levi_civita(g).lower
     n = g.n
     ctx = g.ctx
     fields = ctx.fields
-    d_cache: dict[tuple[int, int, int, int], Expr] = {}
-
-    def d_gamma(i: int, j: int, k: int, m: int) -> Expr:
-        key = (i, j, k, m)
-        if key not in d_cache:
-            d_cache[key] = sc.diff(gamma[i][j][k], fields[m])
-        return d_cache[key]
+    d_gamma = functools.lru_cache(maxsize=None)(
+        lambda i, j, k, m: sc.diff(gamma[i][j][k], fields[m]))
 
     def component(i: int, j: int, k: int, l: int) -> Expr:
         return d_gamma(i, l, j, k) - d_gamma(i, k, j, l) + contract(ctx, n, lambda s: (
             gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
         ))
 
-    g._curvature = CurvatureTensor(g, _skew_tensor(ctx, n, component))
-    return g._curvature
+    def skew(component: Callable[..., Expr]) -> tuple:
+        upper = tensor(n, 4, lambda i, j, k, l: (
+            component(i, j, k, l).normalized() if k < l else None))
+        return _skew_tensor(ctx, n, lambda i, j, k, l: upper[i][j][k][l],
+                            lambda i, j, k, l: (-upper[i][j][l][k]).normalized())
+
+    curv = CurvatureTensor(g, skew(component), lambda: skew(
+        lambda i, j, k, l: curv.raised_component(g, i, j, k, l)))
+    return curv
 
 
 def is_flat(g: Metric) -> bool:
@@ -303,10 +664,24 @@ def constant_curvature(g: Metric) -> Expr | None:
     if n == 1:
         return ctx.number(0)
     c = curv.raised[0][1][1][0]
-    if first_nonzero(zip(ctx.fields), lambda name: sc.diff(c, name)) or first_nonzero(
-        product(range(n), repeat=4), lambda i, j, k, l: (
-            curv.raised[i][j][k][l] - c * ((i == l and j == k) - (i == k and j == l))
-        )
+    alg = g._algebra()
+
+    def defect(i: int, j: int, k: int, l: int) -> Expr:
+        delta = (i == l and j == k) - (i == k and j == l)
+        tree = curv.raised[i][j][k][l] - c * delta
+        if alg is None:
+            return tree
+        value = alg.sum((_skew_value(alg, curv._raised_values, i, j, k, l),
+                         alg.scale(cv, -delta)))
+        return alg.emit(value, tree)
+
+    if alg is None:
+        slope = partial(sc.diff, c)
+    else:
+        cv = _skew_value(alg, curv._raised_values, 0, 1, 1, 0)
+        slope = lambda name: alg.emit(alg.d(cv, ctx.fields.index(name)))  # noqa: E731
+    if first_nonzero(zip(ctx.fields), slope) or first_nonzero(
+        product(range(n), repeat=4), defect
     ):
         return None
     return c.normalized()

@@ -289,9 +289,6 @@ class Context:
     def var(self, name: str) -> "Expr":
         return Expr(self, self.sym(name))
 
-    def applied_atom(self, name: str, order: int = 0) -> "Expr":
-        return Expr(self, self.atom(name).applied(order))
-
     def parse(self, text: str) -> "Expr":
         return parse(text, self)
 
@@ -765,8 +762,9 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
         for has_rad, comp in comps:
             if not comp:
                 continue
-            fnum, fden = _sympy_fraction(*comp.cancel(den))
-            parts.append(((log_arg, has_rad), (fnum, fden)))
+            # without a root or log part, comp/den is value's lowest terms
+            fraction = comp.cancel(den) if T is not None or ls else (comp, den)
+            parts.append(((log_arg, has_rad), _sympy_fraction(*fraction)))
 
     if ls:
         pieces = {L: num.diff(g) for L, g in zip(ls, log_gens)}
@@ -831,16 +829,6 @@ class Expr:
             return False
         (key, (num, den)) = nf.parts[0]
         return key == (None, False) and num.is_Rational and den.is_Rational
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational_constant():
-            raise ValueError(f"not a rational constant: {self}")
-        nf = self.normal_form()
-        if nf.is_zero:
-            return Fraction(0)
-        (_, (num, den)) = nf.parts[0]
-        q = sp.Rational(num) / sp.Rational(den)
-        return Fraction(int(q.p), int(q.q))
 
     def depends_on(self, name: str) -> bool:
         return not is_zero(diff(self, name))
@@ -911,12 +899,26 @@ class Expr:
         return render(self)
 
 
-def _with_normal_form(ctx: Context, nf: _NormalForm, canonical: sp.Expr) -> Expr:
-    """Expr of the canonical tree, with its normal form already known."""
-    out = Expr(ctx, canonical)
+def _with_normal_form(ctx: Context, nf: _NormalForm, canonical: sp.Expr,
+                      raw: sp.Expr | None = None) -> Expr:
+    """Expr of the raw tree, by default the canonical one, with its normal
+    form already known."""
+    out = Expr(ctx, canonical if raw is None else raw)
     object.__setattr__(out, "_nf", nf)
     object.__setattr__(out, "_canonical", canonical)
     return out
+
+
+def _emitted(ctx: Context, radicand: sp.Expr | None, parts: list,
+             raw: sp.Expr | None = None) -> Expr:
+    """The Expr of a log-free value given as parts (has_rad, p, q), the
+    rational part first, each p/q a fraction in lowest terms of ring
+    elements free of the root generator: it carries the normal form
+    _normalize gives every tree of that value, and no cancel runs.  raw,
+    a tree of that value, stands for it where given."""
+    nf = _NormalForm(radicand if any(r for r, _, _ in parts) else None,
+                     tuple(((None, r), _sympy_fraction(p, q)) for r, p, q in parts))
+    return _with_normal_form(ctx, nf, nf.rebuild(), raw)
 
 
 def _coerce(ctx: Context, value) -> Expr:
