@@ -26,14 +26,32 @@ Connection and CurvatureTensor, in lowest terms: each denominator base is
 divided out of each numerator component as often as it divides exactly,
 and the Expr carries the normal form _normalize would give it.  A metric
 outside the algebra's reach (an entry with a logarithm, two radicands,
-or an entry without a normal form) takes the tree path instead: the same
-formulas on Exprs, each kept entry normalized.
+an entry without a normal form, or a vanishing determinant) takes the
+tree path instead: the same formulas on Exprs, each kept entry
+normalized.
+
+The checks that read the connection are decided in the same algebra:
+killing_defect, cyclic_defect and constant_curvature here, the
+connection_symmetric and metric_compatible checks of
+operators.validate_nonlocal, and the torsion of pencil.almost_compatible.
+Their quantities are Lifted: an Expr tree, the one the Expr operators
+build, paired with its value, which comes from the metric's own tables
+or is lifted from a normal form (the operator's symbols, the isometry,
+the other metric of a pencil).  A zero test reads the value's numerator
+on an Expr of that tree, so witnesses and the oracle's probed trees are
+those of the tree formulas.  Where the metric has no algebra, or a lift
+falls outside it (a symbol or function atom without a generator, a
+denominator factor outside the basis, a logarithm or another radicand),
+the value is None and the tree is normalized as on the tree path;
+Lifted is the one place that makes this choice.
 
 The inverse metric of Metric.covariant is the exact adjugate over the
 determinant, as Expr trees.  Every other index contraction in the
 package goes through contract (a sum of terms over one index, added left
-to right onto zero), and every tensor table is built by tensor (an
-n x ... x n nested tuple from an index function); neither normalizes.
+to right onto zero) or Lifted.contract (the same sum of lifted terms,
+with their values), and every tensor table is built by tensor (an
+n x ... x n nested tuple from an index function); none of them
+normalizes.
 Every vanishing condition is decided by first_nonzero, the one scan: it
 zero-tests components in a given order and returns the first nonzero one.
 """
@@ -41,6 +59,7 @@ zero-tests components in a given order and returns the first nonzero one.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -164,6 +183,8 @@ class Metric:
         self._curvature: "CurvatureTensor | None" = None
         self._factored: "_Factored | None | bool" = False  # False: not yet built
         self._lower_values: tuple | None = None
+        self._raised_values: tuple | None = None
+        self._lifted: tuple | None = None
 
     @property
     def det(self) -> Expr:
@@ -224,8 +245,8 @@ class _Factored:
         except sc.NormalizationError:
             return None
         forms.append(g.det.normal_form())
-        if forms[-1].is_zero:
-            raise DegenerateMetricError("determinant vanishes identically")
+        if forms[-1].is_zero:  # no inverse: the tree path raises DegenerateMetricError
+            return None
         radicands = {f.radicand for f in forms} - {None}
         if len(radicands) > 1 or any(L is not None for f in forms for (L, _), _ in f.parts):
             return None
@@ -238,7 +259,10 @@ class _Factored:
         exprs = [x for f in forms for _, pair in f.parts for x in pair]
         exprs += [radicand] if radicand is not None else []
         atoms = set().union(*(x.atoms(AppliedUndef) for x in exprs))
-        symbols = set().union(*(x.free_symbols for x in exprs))
+        # every field and parameter, so that an isometry or a symbol table
+        # over them lifts even where the metric's entries lack them
+        symbols = set().union(*(x.free_symbols for x in exprs), ctx.field_syms,
+                              map(ctx.sym, ctx.parameters))
         # the curvature differentiates the entries twice, and
         # constant_curvature its value once more
         self.next_atom = {}
@@ -275,6 +299,7 @@ class _Factored:
             tuple(-a - b for a, b in zip(f, e + (0,) * (len(f) - len(e)))),
         )
         self.entries = [self._from_form(f) for f in forms[:-1]]
+        self.n = math.isqrt(len(self.entries))
         self._dgens: dict[tuple[int, int], Value | None] = {}
         self._dbases: dict[tuple[int, int], Value] = {}
         self._dargs: dict[tuple[sp.Expr, int], Value] = {}
@@ -312,6 +337,38 @@ class _Factored:
             p = self.poly(num).quo_ground(c)
             terms.append((p * self.T if has_rad else p, tuple(-k for k in e)))
         return self.sum(terms)
+
+    def lift(self, e: Expr) -> Value | None:
+        """The value of e, or None where e falls outside the algebra: no
+        normal form, a logarithm, another radicand, a symbol without a
+        generator, a function atom without one or without the next
+        derivative order, or a denominator factor outside the basis."""
+        try:
+            form = e.normal_form()
+        except sc.NormalizationError:
+            return None
+        if form.radicand not in (None, self.radicand) or any(
+                L is not None for (L, _), _ in form.parts):
+            return None
+        exprs = [x for _, pair in form.parts for x in pair]
+        if any(a not in self.next_atom for x in exprs for a in x.atoms(AppliedUndef)) or any(
+                s not in self.index for x in exprs for s in x.free_symbols):
+            return None
+        try:
+            return self._from_form(form)
+        except ValueError:  # a denominator factor outside the basis
+            return None
+
+    @functools.cached_property
+    def covariant(self) -> tuple:
+        """g_{ij} = adj(g)_{ij} / det(g) as values."""
+        n = self.n
+        rows = [self.entries[i * n:(i + 1) * n] for i in range(n)]
+        if n == 1:
+            return ((self.inverse_det,),)
+        return tensor(n, 2, lambda i, j: self.mul(self.scale(_det_values(self, [
+            [rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j
+        ]), (-1) ** (i + j)), self.inverse_det))
 
     def _split_t(self, p: PolyElement) -> tuple[PolyElement, PolyElement]:
         """(a, b) with p = a + b*t."""
@@ -412,10 +469,12 @@ class _Factored:
 
     # -- emission -------------------------------------------------------------------
 
-    def emit(self, x: Value, raw: Expr | None = None) -> Expr:
+    def emit(self, x: Value, raw: Expr | None = None, ctx: Context | None = None) -> Expr:
         """x as an Expr in lowest terms: each denominator base divided out
         of each numerator component as often as it divides exactly.  raw,
-        an Expr of the same value, gives the Expr's tree and context."""
+        an Expr of the same value, gives the Expr's tree and context;
+        without it the tree is the canonical one, in ctx (by default the
+        algebra's)."""
         num, e = x
         num = num * self._power(tuple(max(k, 0) for k in e))
         parts = []
@@ -430,8 +489,122 @@ class _Factored:
                     den *= b**-k
             parts.append((has_rad, comp, den))
         if raw is None:
-            return sc._emitted(self.ctx, self.radicand, parts)
+            return sc._emitted(ctx or self.ctx, self.radicand, parts)
         return sc._emitted(raw.ctx, self.radicand, parts, raw.raw)
+
+
+class Lifted:
+    """An Expr tree paired with its value in a metric's factored algebra,
+    or with None where there is no algebra or a lift falls outside it.
+
+    Arithmetic builds the tree the Expr operators build and, where both
+    operands have one, the value.  expr() gives the tree carrying the
+    value's normal form, so a zero test on it reads the numerator and an
+    oracle probes the tree; without a value is_zero normalizes the tree,
+    as on the tree path.  Trees are built when first read, so a quantity
+    settled from its value never builds the tree it was computed from."""
+
+    __slots__ = ("alg", "ctx", "value", "_tree", "_d")
+
+    def __init__(self, alg: _Factored | None, value: Value | None,
+                 tree: "Expr | Callable[[], Expr]", ctx: Context | None = None):
+        self.alg, self.value, self._tree = alg, value, tree
+        self.ctx = tree.ctx if ctx is None else ctx
+        self._d: dict[int, Lifted] = {}
+
+    @classmethod
+    def of(cls, alg: _Factored | None, e: Expr) -> "Lifted":
+        """e with its value, where alg reaches it."""
+        return cls(alg, None if alg is None else alg.lift(e), e)
+
+    @classmethod
+    def contract(cls, alg: _Factored | None, ctx: Context, n: int,
+                 term: Callable[[int], "Lifted"]) -> "Lifted":
+        """contract over lifted terms: the same tree, and the sum of the values."""
+        zero = cls(alg, None if alg is None else alg.zero, ctx.number(0))
+        return sum((term(s) for s in range(n)), zero)
+
+    @property
+    def tree(self) -> Expr:
+        if not isinstance(self._tree, Expr):
+            self._tree = self._tree()
+        return self._tree
+
+    def _combine(self, other: "Lifted", op, value: Callable[[], Value]) -> "Lifted":
+        both = self.value is not None and other.value is not None
+        return Lifted(self.alg, value() if both else None,
+                      lambda: op(self.tree, other.tree), sc._join(self.ctx, other.ctx))
+
+    def __add__(self, other: "Lifted") -> "Lifted":
+        return self._combine(other, operator.add,
+                             lambda: self.alg.sum((self.value, other.value)))
+
+    def __sub__(self, other: "Lifted") -> "Lifted":
+        return self._combine(other, operator.sub, lambda: self.alg.sum(
+            (self.value, self.alg.scale(other.value, -1))))
+
+    def __mul__(self, other: "Lifted") -> "Lifted":
+        return self._combine(other, operator.mul,
+                             lambda: self.alg.mul(self.value, other.value))
+
+    def __neg__(self) -> "Lifted":
+        value = None if self.value is None else self.alg.scale(self.value, -1)
+        return Lifted(self.alg, value, lambda: -self.tree, self.ctx)
+
+    def d(self, k: int) -> "Lifted":
+        """d/du^k, its tree in lowest terms as diff gives it; kept for reuse."""
+        if k not in self._d:
+            if self.value is None:
+                self._d[k] = Lifted(self.alg, None, sc.diff(self.tree, self.ctx.fields[k]))
+            else:
+                dv = self.alg.d(self.value, k)
+                self._d[k] = Lifted(self.alg, dv, self.alg.emit(dv, ctx=self.ctx))
+        return self._d[k]
+
+    def settled(self) -> "Lifted":
+        """Its tree in lowest terms, as Expr.normalized gives it."""
+        if self.value is None:
+            return Lifted(self.alg, None, self.tree.normalized())
+        return Lifted(self.alg, self.value, self.alg.emit(self.value, ctx=self.ctx))
+
+    def expr(self) -> Expr:
+        """The tree, carrying the value's normal form where there is a value."""
+        return self.tree if self.value is None else self.alg.emit(self.value, self.tree)
+
+
+def _leaves(alg: _Factored | None, table: tuple, values: tuple | None, n: int,
+            rank: int) -> tuple:
+    """The Expr table with its values, where there are values."""
+    at = lambda t, ix: functools.reduce(operator.getitem, ix, t)  # noqa: E731
+    return tensor(n, rank, lambda *ix: Lifted(
+        alg, None if values is None else at(values, ix), at(table, ix)))
+
+
+def lifted_metric(g: "Metric") -> tuple:
+    """g^{ij}, lifted once per metric, so their derivatives are shared."""
+    if g._lifted is None:
+        alg = g._algebra()
+        values = None if alg is None else tensor(
+            g.n, 2, lambda i, j: alg.entries[i * g.n + j])
+        g._lifted = _leaves(alg, g.entries, values, g.n, 2)
+    return g._lifted
+
+
+def lifted_covariant(g: "Metric") -> tuple:
+    """g_{ij}, lifted; the tree Metric.covariant is built only where it is
+    read, which a quantity with a value never does."""
+    alg = g._algebra()
+    ctx = functools.reduce(sc._join, (e.ctx for row in g.entries for e in row))
+    return tensor(g.n, 2, lambda i, j: Lifted(
+        alg, None if alg is None else alg.covariant[i][j], lambda: g.covariant[i][j], ctx))
+
+
+def lifted_connection(g: "Metric") -> tuple[tuple, tuple]:
+    """Gamma^i_{jk} and Gamma^{ij}_k of the Levi-Civita connection, lifted."""
+    conn = levi_civita(g)
+    alg = g._algebra()
+    return (_leaves(alg, conn.lower, g._lower_values, g.n, 3),
+            _leaves(alg, conn.raised, g._raised_values, g.n, 3))
 
 
 def _det_values(alg: _Factored, rows: Sequence[Sequence[Value]]) -> Value:
@@ -444,16 +617,6 @@ def _det_values(alg: _Factored, rows: Sequence[Sequence[Value]]) -> Value:
                                       (-1) ** j))
         for j in range(n)
     )
-
-
-def _covariant_values(alg: _Factored, n: int) -> tuple:
-    """g_{ij} = adj(g)_{ij} / det(g) as values."""
-    rows = [alg.entries[i * n:(i + 1) * n] for i in range(n)]
-    if n == 1:
-        return ((alg.inverse_det,),)
-    return tensor(n, 2, lambda i, j: alg.mul(alg.scale(_det_values(alg, [
-        [rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-    ]), (-1) ** (i + j)), alg.inverse_det))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +702,7 @@ def levi_civita(g: Metric) -> Connection:
         return g._connection
     n = g.n
     entries = tensor(n, 2, lambda i, j: alg.entries[i * n + j])
-    cov = _covariant_values(alg, n)
+    cov = alg.covariant
     d_cov = tensor(n, 3, lambda i, j, k: alg.d(cov[i][j], k))
     lower = tensor(n, 3, lambda i, j, k: alg.scale(alg.sum(
         alg.mul(entries[i][s], alg.sum((
@@ -549,7 +712,7 @@ def levi_civita(g: Metric) -> Connection:
     raised = tensor(n, 3, lambda i, j, k: alg.scale(alg.sum(
         alg.mul(entries[i][s], lower[j][s][k]) for s in range(n)
     ), -1))
-    g._lower_values = lower
+    g._lower_values, g._raised_values = lower, raised
     emit = alg.emit
     g._connection = Connection(
         alg.ctx,
@@ -663,42 +826,37 @@ def constant_curvature(g: Metric) -> Expr | None:
     ctx = g.ctx
     if n == 1:
         return ctx.number(0)
-    c = curv.raised[0][1][1][0]
     alg = g._algebra()
+    table = curv.raised  # sets curv._raised_values on the factored path
 
-    def defect(i: int, j: int, k: int, l: int) -> Expr:
-        delta = (i == l and j == k) - (i == k and j == l)
-        tree = curv.raised[i][j][k][l] - c * delta
-        if alg is None:
-            return tree
-        value = alg.sum((_skew_value(alg, curv._raised_values, i, j, k, l),
-                         alg.scale(cv, -delta)))
-        return alg.emit(value, tree)
+    def raised(i: int, j: int, k: int, l: int) -> Lifted:
+        return Lifted(alg, None if alg is None else _skew_value(
+            alg, curv._raised_values, i, j, k, l), table[i][j][k][l])
 
-    if alg is None:
-        slope = partial(sc.diff, c)
-    else:
-        cv = _skew_value(alg, curv._raised_values, 0, 1, 1, 0)
-        slope = lambda name: alg.emit(alg.d(cv, ctx.fields.index(name)))  # noqa: E731
-    if first_nonzero(zip(ctx.fields), slope) or first_nonzero(
-        product(range(n), repeat=4), defect
+    c = raised(0, 1, 1, 0)
+    delta = {d: Lifted.of(alg, c.ctx.number(d)) for d in (-1, 0, 1)}
+    if first_nonzero(((k,) for k in range(n)), lambda k: c.d(k).tree) or first_nonzero(
+        product(range(n), repeat=4), lambda i, j, k, l: (raised(i, j, k, l) - c * delta[
+            (i == l and j == k) - (i == k and j == l)]).expr()
     ):
         return None
-    return c.normalized()
+    return c.tree.normalized()
 
 
 def killing_defect(g: Metric, f: VectorField) -> tuple[int, int, Expr] | None:
     """First nonzero component of the Lie derivative of the contravariant
     metric along f: f^k d_k g^{ij} - g^{kj} d_k f^i - g^{ik} d_k f^j."""
     n = g.n
-    fields = g.ctx.fields
+    alg = g._algebra()
+    entries = lifted_metric(g)
+    field = [Lifted.of(alg, c) for c in f.components]
     return first_nonzero(
         ((i, j) for i, j in product(range(n), repeat=2) if i <= j),
-        lambda i, j: contract(g.ctx, n, lambda k: (
-            f[k] * sc.diff(g.entries[i][j], fields[k])
-            - g.entries[k][j] * sc.diff(f[i], fields[k])
-            - g.entries[i][k] * sc.diff(f[j], fields[k])
-        )),
+        lambda i, j: Lifted.contract(alg, g.ctx, n, lambda k: (
+            field[k] * entries[i][j].d(k)
+            - entries[k][j] * field[i].d(k)
+            - entries[i][k] * field[j].d(k)
+        )).expr(),
     )
 
 
@@ -712,17 +870,21 @@ def cyclic_defect(g: Metric, f: VectorField) -> tuple[int, int, int, Expr] | Non
     + f^i grad^k f^j, with grad^i = g^{is} grad_s and
     grad_s f^k = d_s f^k + Gamma^k_{sm} f^m."""
     n = g.n
-    ctx = g.ctx
-    conn = levi_civita(g)
-    nabla_lower = tensor(n, 2, lambda s, k: sc.diff(f[k], ctx.fields[s]) + contract(
-        ctx, n, lambda m: conn.lower[k][s][m] * f[m]
+    lower, _ = lifted_connection(g)
+    alg = g._algebra()
+    entries = lifted_metric(g)
+    field = [Lifted.of(alg, c) for c in f.components]
+    contract = partial(Lifted.contract, alg, g.ctx, n)
+    nabla_lower = tensor(n, 2, lambda s, k: field[k].d(s) + contract(
+        lambda m: lower[k][s][m] * field[m]
     ))
     nabla_upper = tensor(n, 2, lambda i, k: contract(
-        ctx, n, lambda s: g.entries[i][s] * nabla_lower[s][k]
+        lambda s: entries[i][s] * nabla_lower[s][k]
     ))
     return first_nonzero(product(range(n), repeat=3), lambda i, j, k: (
-        f[j] * nabla_upper[i][k] + f[k] * nabla_upper[j][i] + f[i] * nabla_upper[k][j]
-    ))
+        field[j] * nabla_upper[i][k] + field[k] * nabla_upper[j][i]
+        + field[i] * nabla_upper[k][j]
+    ).expr())
 
 
 def cyclic_check(g: Metric, f: VectorField) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from typing import Callable, Sequence
 
@@ -225,14 +225,6 @@ class ConstantOp:
         return self.metric.covariant
 
 
-def _lower_connection(op) -> tuple:
-    """Gamma^j_{mk} = -g_{mi} Gamma^{ij}_k from the operator's raised symbols."""
-    cov = op.metric.covariant
-    return tensor(op.n, 3, lambda j, m, k: contract(
-        op.ctx, op.n, lambda i: -(cov[m][i] * op.gamma[i][j][k])
-    ).normalized())
-
-
 def _backwards(n: int, rank: int):
     """Index tuples in reverse lexicographic order, so a scan names the last nonzero."""
     return product(range(n - 1, -1, -1), repeat=rank)
@@ -263,7 +255,14 @@ def validate_local(op: LocalFirstOrderOp) -> ValidationReport:
 def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
     """Ferapontov conditions: metric-compatible symmetric connection of
     constant curvature c, Killing isometry, cyclic condition; for c = 0 the
-    local part must additionally be a valid first-order operator."""
+    local part must additionally be a valid first-order operator.
+
+    The operator's symbols are lifted into the metric's factored algebra
+    and lowered there, Gamma^j_{mk} = -g_{mi} Gamma^{ij}_k, so connection
+    symmetry, metric compatibility, Killing and the cyclic condition test
+    numerators for zero, each on the tree the Expr formulas build (see
+    diffgeo.Lifted); a symbol or isometry outside the algebra keeps those
+    trees and normalizes them."""
     report = ValidationReport()
     g = op.metric
     if g.is_degenerate():
@@ -271,22 +270,30 @@ def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
     ctx = op.ctx
     n = op.n
     if report.add("metric_symmetric", g.is_symmetric()):
-        lower = _lower_connection(op)
+        alg = g._algebra()
+        contract = partial(dg.Lifted.contract, alg, ctx, n)
+        entries = dg.lifted_metric(g)
+        cov = dg.lifted_covariant(g)
+        gamma = tensor(n, 3, lambda i, j, k: dg.Lifted.of(alg, op.gamma[i][j][k]))
+        # Gamma^j_{mk} = -g_{mi} Gamma^{ij}_k, in lowest terms
+        lower = tensor(n, 3, lambda j, m, k: contract(
+            lambda i: -(cov[m][i] * gamma[i][j][k])
+        ).settled())
         # connection symmetry Gamma^j_{mk} = Gamma^j_{km}
         report.add("connection_symmetric", *scan_verdict(
             first_nonzero(
                 (index for index in _backwards(n, 3) if index[1] < index[2]),
-                lambda j, m, k: lower[j][m][k] - lower[j][k][m],
+                lambda j, m, k: (lower[j][m][k] - lower[j][k][m]).expr(),
             ),
             lambda j, m, k, d: f"Gamma^{j+1}_{{{m+1}{k+1}}} asymmetry {d}",
         ))
         # metric compatibility: d_k g^{ij} + Gamma^i_{ks} g^{sj} + Gamma^j_{ks} g^{si} = 0
         report.add("metric_compatible", *scan_verdict(
             first_nonzero(_backwards(n, 3), lambda i, j, k: (
-                sc.diff(g.entries[i][j], ctx.fields[k]) + contract(ctx, n, lambda s: (
-                    lower[i][k][s] * g.entries[s][j] + lower[j][k][s] * g.entries[s][i]
+                entries[i][j].d(k) + contract(lambda s: (
+                    lower[i][k][s] * entries[s][j] + lower[j][k][s] * entries[s][i]
                 ))
-            )),
+            ).expr()),
             lambda i, j, k, total: f"grad_k g^{{{i+1}{j+1}}} nonzero for k={k+1}: {total}",
         ))
         # constant curvature equals c

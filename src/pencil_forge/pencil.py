@@ -93,8 +93,10 @@ def almost_compatible(g: Metric, gt: Metric) -> bool:
 
     Decided by Mokhov's identity T^{ijk} = g^{is} Gammat^{jk}_s
     + gt^{is} Gamma^{jk}_s - (i <-> j) = 0 for i < j, from the connections
-    of g and gt alone (see the module docstring); raises
-    DegeneratePencilError when det(g + lambda*gt) vanishes identically.
+    of g and gt alone (see the module docstring), decided in g's factored
+    algebra with gt's entries and symbols lifted into it (diffgeo.Lifted);
+    raises DegeneratePencilError when det(g + lambda*gt) vanishes
+    identically.
     """
     pencil = Pencil(g, gt)
     return _almost(pencil)
@@ -102,15 +104,18 @@ def almost_compatible(g: Metric, gt: Metric) -> bool:
 
 def _almost(pencil: Pencil) -> bool:
     n = pencil.n
-    g, gt = pencil.g.entries, pencil.gt.entries
-    conn_g = dg.levi_civita(pencil.g).raised
-    conn_t = dg.levi_civita(pencil.gt).raised
+    alg = pencil.g._algebra()
+    g = dg.lifted_metric(pencil.g)
+    _, conn_g = dg.lifted_connection(pencil.g)
+    gt = dg.tensor(n, 2, lambda i, j: dg.Lifted.of(alg, pencil.gt.entries[i][j]))
+    raised_t = dg.levi_civita(pencil.gt).raised
+    conn_t = dg.tensor(n, 3, lambda i, j, k: dg.Lifted.of(alg, raised_t[i][j][k]))
 
     def torsion(i: int, j: int, k: int) -> Expr:
-        return dg.contract(pencil.ctx, n, lambda s: (
+        return dg.Lifted.contract(alg, pencil.ctx, n, lambda s: (
             g[i][s] * conn_t[j][k][s] + gt[i][s] * conn_g[j][k][s]
             - g[j][s] * conn_t[i][k][s] - gt[j][s] * conn_g[i][k][s]
-        ))
+        )).expr()
 
     upper = ((i, j, k) for i, j, k in product(range(n), repeat=3) if i < j)
     return dg.first_nonzero(upper, torsion) is None
