@@ -94,6 +94,10 @@ __all__ = [
     "tensor",
     "first_nonzero",
     "skew_indices",
+    "Lifted",
+    "lifted_metric",
+    "lifted_covariant",
+    "lifted_connection",
 ]
 
 

@@ -107,7 +107,7 @@ def test_tensor_algebra_runs_no_gcd(monkeypatch):
 
 def test_connection_checks_run_no_gcd(monkeypatch):
     """On g9, with the connection and curvature computed, the
-    connection_symmetric, metric_compatible and cyclic checks of
+    connection_symmetric, metric_compatible, killing and cyclic checks of
     validate_nonlocal and the pencil torsion against eta cancel nothing.
     Each check's calls are those made since the previous check was
     decided."""
@@ -131,7 +131,7 @@ def test_connection_checks_run_no_gcd(monkeypatch):
     assert ops.validate_nonlocal(op).passed
     spent = {name: calls[before:count]
              for (_, before), (name, count) in zip(decided, decided[1:])}
-    for name in ("connection_symmetric", "metric_compatible", "cyclic"):
+    for name in ("connection_symmetric", "metric_compatible", "killing", "cyclic"):
         assert spent[name] == [], name
     del calls[:]
     assert pc._almost(pencil)
