@@ -21,29 +21,32 @@ a polynomial reduced modulo t^2 = s in one ring per metric: a product
 adds exponents, a sum takes each base's least exponent and multiplies
 each numerator by the powers it lacks, and d/du is the quotient rule on
 the pair.  None of these runs a GCD or a cancel, and a value is zero
-exactly when num is.  A value leaves the algebra, as the Expr entries of
-Connection and CurvatureTensor, in lowest terms: each denominator base is
-divided out of each numerator component as often as it divides exactly,
-and the Expr carries the normal form _normalize would give it.  A metric
-outside the algebra's reach (an entry with a logarithm, two radicands,
-an entry without a normal form, or a vanishing determinant) takes the
-tree path instead: the same formulas on Exprs, each kept entry
-normalized.
+exactly when num is.  A value leaves the algebra as an Expr that carries
+it (the entries of Connection and CurvatureTensor): is_zero reads num,
+and only a read of its normal form or tree exports it, in lowest terms,
+each denominator base divided out of each numerator component as often
+as it divides exactly, to the normal form _normalize would give it.
+Entries nothing reads are never exported.  A metric outside the
+algebra's reach (an entry with a logarithm, two radicands, an entry
+without a normal form, or a vanishing determinant) takes the tree path
+instead: the same formulas on Exprs, each kept entry normalized.
 
 The checks that read the connection are decided in the same algebra:
 killing_defect, cyclic_defect and constant_curvature here, the
 connection_symmetric and metric_compatible checks of
-operators.validate_nonlocal, and the torsion of pencil.almost_compatible.
-Their quantities are Lifted: an Expr tree, the one the Expr operators
-build, paired with its value, which comes from the metric's own tables
-or is lifted from a normal form (the operator's symbols, the isometry,
-the other metric of a pencil).  A zero test reads the value's numerator
-on an Expr of that tree, so witnesses and the oracle's probed trees are
-those of the tree formulas.  Where the metric has no algebra, or a lift
-falls outside it (a symbol or function atom without a generator, a
-denominator factor outside the basis, a logarithm or another radicand),
-the value is None and the tree is normalized as on the tree path;
-Lifted is the one place that makes this choice.
+operators.validate_nonlocal, and the torsion of
+pencil.almost_compatible.  Their quantities are Lifted: an Expr tree,
+the one the Expr operators build, paired with its value, which comes
+from the metric's own tables or is lifted from a normal form (the
+operator's symbols, the isometry, the other metric of a pencil; an Expr
+this algebra emitted lifts to the value it carries).  A zero test reads
+the value's numerator on an Expr of that tree, so witnesses and the
+oracle's probed trees are those of the tree formulas; the tree is built
+only when the oracle or a witness reads it.  Where the metric has no
+algebra, or a lift falls outside it (a symbol or function atom without a
+generator, a denominator factor outside the basis, a logarithm or
+another radicand), the value is None and the tree is normalized as on
+the tree path; Lifted is the one place that makes this choice.
 
 The inverse metric of Metric.covariant is the exact adjugate over the
 determinant, as Expr trees.  Every other index contraction in the
@@ -346,7 +349,10 @@ class _Factored:
         """The value of e, or None where e falls outside the algebra: no
         normal form, a logarithm, another radicand, a symbol without a
         generator, a function atom without one or without the next
-        derivative order, or a denominator factor outside the basis."""
+        derivative order, or a denominator factor outside the basis.  An
+        Expr this algebra emitted gives the value it carries."""
+        if e._carried is not None and e._carried[0] is self:
+            return e._carried[1]
         try:
             form = e.normal_form()
         except sc.NormalizationError:
@@ -473,12 +479,20 @@ class _Factored:
 
     # -- emission -------------------------------------------------------------------
 
-    def emit(self, x: Value, raw: Expr | None = None, ctx: Context | None = None) -> Expr:
-        """x as an Expr in lowest terms: each denominator base divided out
-        of each numerator component as often as it divides exactly.  raw,
-        an Expr of the same value, gives the Expr's tree and context;
-        without it the tree is the canonical one, in ctx (by default the
+    def emit(self, x: Value, tree: Expr | None = None, ctx: Context | None = None) -> Expr:
+        """x as an Expr that carries it: its normal form is exported on
+        first read, and is_zero reads the numerator.  tree, an Expr of the
+        same value, gives the Expr's tree, unbuilt, and its context; without
+        it the tree is the canonical one, in ctx (by default the
         algebra's)."""
+        if tree is None:
+            return Expr(ctx or self.ctx, None, carried=(self, x))
+        return Expr(tree.ctx, lambda: tree.raw, carried=(self, x))
+
+    def export(self, x: Value) -> sc._NormalForm:
+        """The normal form of x, in lowest terms: each denominator base
+        divided out of each numerator component as often as it divides
+        exactly, so no cancel runs."""
         num, e = x
         num = num * self._power(tuple(max(k, 0) for k in e))
         parts = []
@@ -491,10 +505,9 @@ class _Factored:
                     comp, k = q, k + 1
                 if k < 0:
                     den *= b**-k
-            parts.append((has_rad, comp, den))
-        if raw is None:
-            return sc._emitted(ctx or self.ctx, self.radicand, parts)
-        return sc._emitted(raw.ctx, self.radicand, parts, raw.raw)
+            parts.append(((None, has_rad), sc._sympy_fraction(comp, den)))
+        return sc._NormalForm(self.radicand if any(r for (_, r), _ in parts) else None,
+                              tuple(parts))
 
 
 class Lifted:
@@ -503,17 +516,16 @@ class Lifted:
 
     Arithmetic builds the tree the Expr operators build and, where both
     operands have one, the value.  expr() gives the tree carrying the
-    value's normal form, so a zero test on it reads the numerator and an
-    oracle probes the tree; without a value is_zero normalizes the tree,
-    as on the tree path.  Trees are built when first read, so a quantity
-    settled from its value never builds the tree it was computed from."""
+    value, so a zero test on it reads the numerator and an oracle probes
+    the tree; without a value is_zero normalizes the tree, as on the tree
+    path.  Trees are Exprs built on first read, so a quantity settled from
+    its value, or zero-tested with the oracle off, never builds the tree it
+    was computed from."""
 
-    __slots__ = ("alg", "ctx", "value", "_tree", "_d")
+    __slots__ = ("alg", "value", "tree", "_d")
 
-    def __init__(self, alg: _Factored | None, value: Value | None,
-                 tree: "Expr | Callable[[], Expr]", ctx: Context | None = None):
-        self.alg, self.value, self._tree = alg, value, tree
-        self.ctx = tree.ctx if ctx is None else ctx
+    def __init__(self, alg: _Factored | None, value: Value | None, tree: Expr):
+        self.alg, self.value, self.tree = alg, value, tree
         self._d: dict[int, Lifted] = {}
 
     @classmethod
@@ -529,15 +541,13 @@ class Lifted:
         return sum((term(s) for s in range(n)), zero)
 
     @property
-    def tree(self) -> Expr:
-        if not isinstance(self._tree, Expr):
-            self._tree = self._tree()
-        return self._tree
+    def ctx(self) -> Context:
+        return self.tree.ctx
 
     def _combine(self, other: "Lifted", op, value: Callable[[], Value]) -> "Lifted":
         both = self.value is not None and other.value is not None
-        return Lifted(self.alg, value() if both else None,
-                      lambda: op(self.tree, other.tree), sc._join(self.ctx, other.ctx))
+        return Lifted(self.alg, value() if both else None, Expr(
+            sc._join(self.ctx, other.ctx), lambda: op(self.tree.raw, other.tree.raw)))
 
     def __add__(self, other: "Lifted") -> "Lifted":
         return self._combine(other, operator.add,
@@ -553,7 +563,7 @@ class Lifted:
 
     def __neg__(self) -> "Lifted":
         value = None if self.value is None else self.alg.scale(self.value, -1)
-        return Lifted(self.alg, value, lambda: -self.tree, self.ctx)
+        return Lifted(self.alg, value, Expr(self.ctx, lambda: -self.tree.raw))
 
     def d(self, k: int) -> "Lifted":
         """d/du^k, its tree in lowest terms as diff gives it; kept for reuse."""
@@ -572,7 +582,7 @@ class Lifted:
         return Lifted(self.alg, self.value, self.alg.emit(self.value, ctx=self.ctx))
 
     def expr(self) -> Expr:
-        """The tree, carrying the value's normal form where there is a value."""
+        """The tree, carrying the value where there is one."""
         return self.tree if self.value is None else self.alg.emit(self.value, self.tree)
 
 
@@ -600,7 +610,8 @@ def lifted_covariant(g: "Metric") -> tuple:
     alg = g._algebra()
     ctx = functools.reduce(sc._join, (e.ctx for row in g.entries for e in row))
     return tensor(g.n, 2, lambda i, j: Lifted(
-        alg, None if alg is None else alg.covariant[i][j], lambda: g.covariant[i][j], ctx))
+        alg, None if alg is None else alg.covariant[i][j],
+        Expr(ctx, lambda: g.covariant[i][j].raw)))
 
 
 def lifted_connection(g: "Metric") -> tuple[tuple, tuple]:

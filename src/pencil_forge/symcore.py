@@ -33,7 +33,11 @@ and a single GCD cancel at the end leaves the value in lowest terms; a
 value with no denominator left only has its coefficient denominators
 cleared.  A denominator c*(a + b*t), with c = gcd free of t, is
 rationalized by conjugating a + b*t alone.  Each component is converted
-back to an expanded sympy numerator and denominator.  Square-free
+back to an expanded sympy numerator and denominator.  An Expr builds
+that sympy side on first read: its tree, its normal form and its
+canonical tree.  One that carries a value of diffgeo's factored algebra
+decides is_zero on the value's numerator and exports its normal form
+only when something reads it.  Square-free
 decomposition of radicands still goes through sympy.sqf_list, memoized
 per radicand.  The grammar, the normal form and the decision procedures
 here are self-contained.
@@ -364,6 +368,11 @@ class _NormalForm:
         return not self.parts
 
     def rebuild(self) -> sp.Expr:
+        """The canonical tree, built on the first call."""
+        return self._tree
+
+    @functools.cached_property
+    def _tree(self) -> sp.Expr:
         total = sp.Integer(0)
         for (log_arg, has_rad), (num, den) in self.parts:
             term = num / den
@@ -786,38 +795,58 @@ def _normalize(raw: sp.Expr) -> _NormalForm:
 
 
 class Expr:
-    """Immutable scalar expression bound to a context."""
+    """Immutable scalar expression bound to a context.
 
-    __slots__ = ("ctx", "raw", "_nf", "_canonical")
+    Its sympy side is built on first read.  raw, the tree, is given built,
+    as a function that builds it, or as None for the canonical tree of the
+    normal form.  An Expr of diffgeo's factored algebra carries the pair
+    (algebra, value): is_zero reads only the value's numerator value[0],
+    and algebra.export(value) gives the normal form when one is read."""
 
-    def __init__(self, ctx: Context, raw: sp.Expr):
+    __slots__ = ("ctx", "_raw", "_nf", "_canonical", "_carried")
+
+    def __init__(self, ctx: Context, raw, nf: _NormalForm | None = None,
+                 carried: tuple | None = None):
+        if not (raw is None or isinstance(raw, sp.Basic) or callable(raw)):
+            raw = sp.sympify(raw)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "raw", sp.sympify(raw))
-        object.__setattr__(self, "_nf", None)
+        object.__setattr__(self, "_raw", raw)
+        object.__setattr__(self, "_nf", nf)
         object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_carried", carried)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
+    @property
+    def raw(self) -> sp.Expr:
+        raw = self._raw
+        if not isinstance(raw, sp.Basic):
+            raw = self.canonical if raw is None else raw()
+            object.__setattr__(self, "_raw", raw)
+        return raw
+
     # -- normal form ------------------------------------------------------
 
     def normal_form(self) -> _NormalForm:
-        nf = object.__getattribute__(self, "_nf")
+        nf = self._nf
         if nf is None:
-            nf = _normalize(self.raw)
+            carried = self._carried
+            nf = _normalize(self.raw) if carried is None else carried[0].export(carried[1])
             object.__setattr__(self, "_nf", nf)
         return nf
 
     @property
     def canonical(self) -> sp.Expr:
-        c = object.__getattribute__(self, "_canonical")
+        c = self._canonical
         if c is None:
             c = self.normal_form().rebuild()
             object.__setattr__(self, "_canonical", c)
         return c
 
     def normalized(self) -> "Expr":
-        return _with_normal_form(self.ctx, self.normal_form(), self.canonical)
+        carried = self._carried
+        return Expr(self.ctx, None, self.normal_form() if carried is None else self._nf, carried)
 
     # -- predicates ---------------------------------------------------------
 
@@ -897,28 +926,6 @@ class Expr:
 
     def __str__(self):
         return render(self)
-
-
-def _with_normal_form(ctx: Context, nf: _NormalForm, canonical: sp.Expr,
-                      raw: sp.Expr | None = None) -> Expr:
-    """Expr of the raw tree, by default the canonical one, with its normal
-    form already known."""
-    out = Expr(ctx, canonical if raw is None else raw)
-    object.__setattr__(out, "_nf", nf)
-    object.__setattr__(out, "_canonical", canonical)
-    return out
-
-
-def _emitted(ctx: Context, radicand: sp.Expr | None, parts: list,
-             raw: sp.Expr | None = None) -> Expr:
-    """The Expr of a log-free value given as parts (has_rad, p, q), the
-    rational part first, each p/q a fraction in lowest terms of ring
-    elements free of the root generator: it carries the normal form
-    _normalize gives every tree of that value, and no cancel runs.  raw,
-    a tree of that value, stands for it where given."""
-    nf = _NormalForm(radicand if any(r for r, _, _ in parts) else None,
-                     tuple(((None, r), _sympy_fraction(p, q)) for r, p, q in parts))
-    return _with_normal_form(ctx, nf, nf.rebuild(), raw)
 
 
 def _coerce(ctx: Context, value) -> Expr:
@@ -1314,12 +1321,12 @@ def _times(a: tuple, b: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=_MEMO_TREES)
-def _derive(nf: _NormalForm, images: tuple) -> tuple[_NormalForm, sp.Expr]:
-    """The normal form and canonical tree of D(value of nf) for the
-    derivation D with D(s) = image for each (s, image) in images, D = 0 on
-    other symbols and D(f^(k)(arg)) = f^(k+1)(arg) * D(arg) on function
-    atoms.  See the module docstring.  Memoized: a run differentiates the
-    same entries many times."""
+def _derive(nf: _NormalForm, images: tuple) -> _NormalForm:
+    """The normal form of D(value of nf) for the derivation D with D(s) =
+    image for each (s, image) in images, D = 0 on other symbols and
+    D(f^(k)(arg)) = f^(k+1)(arg) * D(arg) on function atoms.  See the
+    module docstring.  Memoized: a run differentiates the same entries many
+    times."""
     exprs = [x for _, (num, den) in nf.parts for x in (num, den)]
     exprs += [L for (L, _), _ in nf.parts if L is not None]
     if nf.radicand is not None:
@@ -1382,8 +1389,7 @@ def _derive(nf: _NormalForm, images: tuple) -> tuple[_NormalForm, sp.Expr]:
         if value:
             parts.append((key, _sympy_fraction(value.numer, value.denom)))
     used_radical = any(has_rad for (_, has_rad), _ in parts)
-    out = _NormalForm(nf.radicand if used_radical else None, tuple(parts))
-    return out, out.rebuild()
+    return _NormalForm(nf.radicand if used_radical else None, tuple(parts))
 
 
 def _derivative(e: Expr, images: tuple) -> Expr:
@@ -1391,9 +1397,8 @@ def _derivative(e: Expr, images: tuple) -> Expr:
     e holds none of the symbols D moves."""
     free = e.canonical.free_symbols
     if not any(s in free for s, _ in images):
-        return _with_normal_form(e.ctx, _NormalForm(None, ()), sp.Integer(0))
-    nf, tree = _derive(e.normal_form(), images)
-    return _with_normal_form(e.ctx, nf, tree)
+        return Expr(e.ctx, None, _NormalForm(None, ()))
+    return Expr(e.ctx, None, _derive(e.normal_form(), images))
 
 
 def diff(e: Expr, s) -> Expr:
@@ -1461,10 +1466,12 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
 def is_zero(e: Expr) -> bool:
     """Decides whether e is identically zero.
 
-    True iff every component of the normal form vanishes; raises
+    True iff every component of the normal form vanishes, or, for an Expr
+    carrying a factored value, iff its numerator does; raises
     MultipleRadicandsError when more than one radicand survives.
     """
-    result = e.normal_form().is_zero
+    carried = e._carried
+    result = not carried[1][0] if carried is not None else e.normal_form().is_zero
     state = _probe_state()
     if state.points > 0:
         state.check(e, result)

@@ -7,11 +7,14 @@ catalog run.  Run with `pytest -s tests/test_acceptance.py` to see the
 criterion lines on a passing suite.
 """
 
+import hashlib
+import json
 import random
 import time
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 import functional_identities as fi
 from pencil_forge import catalog as cat
@@ -41,19 +44,38 @@ def _conclude(number: int, description: str, failures: list[str]):
 
 @pytest.fixture(scope="module")
 def probed_run():
-    """One full catalog run with the 100-point zero-test oracle enabled."""
+    """One full catalog run with the 100-point zero-test oracle enabled.
+    Every probe is logged per case as (the first 12 hex digits of the
+    sha256 of srepr of the probed tree, the claimed verdict)."""
     sc.set_probe_points(100)
     reports = {}
     wall = {}
-    for case in cat.builtin_cases():
-        start = time.perf_counter()
-        reports[case.name] = cat.verify_case(case)
-        wall[case.name] = time.perf_counter() - start
+    probes = {}
+    digests = {}
+    check = sc._ProbeState.check
+
+    def logged(state, e, claimed_zero):
+        if e.raw not in digests:
+            digests[e.raw] = hashlib.sha256(sp.srepr(e.raw).encode()).hexdigest()[:12]
+        probes[name].append([digests[e.raw], claimed_zero])
+        return check(state, e, claimed_zero)
+
+    sc._ProbeState.check = logged
+    try:
+        for case in cat.builtin_cases():
+            name = case.name
+            probes[name] = []
+            start = time.perf_counter()
+            reports[name] = cat.verify_case(case)
+            wall[name] = time.perf_counter() - start
+    finally:
+        sc._ProbeState.check = check
     checked, disagreements = sc.probe_report()
     sc.reset_probe_state()
     return {
         "reports": reports,
         "wall": wall,
+        "probes": probes,
         "probe_checked": checked,
         "probe_disagreements": disagreements,
     }
@@ -212,6 +234,16 @@ def test_criterion_6a_zero_test_oracle(probed_run):
     _conclude(6, "6a: zero disagreements between the decision procedure and"
                  f" 100-point evaluation over {probed_run['probe_checked']}"
                  " probed zero tests", failures)
+
+
+def test_probed_trees_match_golden(probed_run):
+    """The oracle probes the same trees, in the same order, with the same
+    claimed verdicts as tests/golden/probed_trees.json records: a change to
+    how values are computed must not change what the oracle checks."""
+    golden = json.loads((Path(__file__).parent / "golden" / "probed_trees.json").read_text())
+    assert sorted(probed_run["probes"]) == sorted(golden)
+    differing = [name for name, seq in probed_run["probes"].items() if seq != golden[name]]
+    assert not differing, f"probed trees differ from tests/golden/probed_trees.json: {differing}"
 
 
 def test_criterion_6b_metricity():

@@ -80,8 +80,19 @@ def test_denominators_are_products_of_basis_factors(name, g):
 
 def _count_gcd_work(monkeypatch) -> list:
     """Names of the PolyElement.cancel and FracField.new calls made from now on."""
+    return _count_calls(monkeypatch, ((PolyElement, "cancel"), (FracField, "new")))
+
+
+def _count_exports(monkeypatch) -> list:
+    """Names of the symcore._sympy_fraction and PolyElement.as_expr calls,
+    the steps that turn a value into sympy trees, made from now on."""
+    return _count_calls(monkeypatch, ((sc, "_sympy_fraction"), (PolyElement, "as_expr")))
+
+
+def _count_calls(monkeypatch, targets) -> list:
+    """Names of the calls of each (owner, name) in targets made from now on."""
     calls = []
-    for owner, name in ((PolyElement, "cancel"), (FracField, "new")):
+    for owner, name in targets:
         original = getattr(owner, name)
 
         def counted(*args, original=original, name=name, **kwargs):
@@ -135,6 +146,56 @@ def test_connection_checks_run_no_gcd(monkeypatch):
         assert spent[name] == [], name
     del calls[:]
     assert pc._almost(pencil)
+    assert calls == []
+
+
+def test_emitted_entries_are_exported_when_read(monkeypatch):
+    """levi_civita and riemann on g9 turn no entry into sympy trees; an
+    entry's normal form and tree are built when it is read."""
+    g = cat.builtin_case("g9").metric()
+    assert not g.is_degenerate() and g.is_symmetric()
+    calls = _count_exports(monkeypatch)
+    conn, curv = dg.levi_civita(g), dg.riemann(g)
+    tables = (conn.lower, conn.raised, curv.mixed, curv.raised)
+    assert calls == []
+    entries = [e for table in tables for e in _entries(table)]
+    assert all(e._nf is None and e._canonical is None for e in entries)
+    entry = conn.raised[0][0][0]
+    assert not sc.is_zero(entry) and calls == []
+    assert entry.raw == entry.canonical and entry._nf is not None
+    assert calls
+
+
+def test_lifted_checks_export_nothing(monkeypatch):
+    """On g9 with the oracle off, with the connections and curvature
+    computed and the case's operators built, the connection_symmetric,
+    metric_compatible, killing and cyclic checks of validate_nonlocal and
+    all of pair_check turn no value into sympy trees: their zero tests read
+    numerators, and the trees they were computed from stay unbuilt."""
+    monkeypatch.setattr(sc, "_STATE", sc._ProbeState(0))
+    case = cat.builtin_case("g9")
+    g = case.metric()
+    assert not g.is_degenerate() and g.is_symmetric()
+    dg.levi_civita(g)
+    dg.riemann(g).raised
+    op, eta = case.operator(), case.eta()
+    dg.levi_civita(eta.metric)
+    calls = _count_exports(monkeypatch)
+    decided = [("start", 0)]
+    add = ops.ValidationReport.add
+
+    def recorded(self, name, *args, **kwargs):
+        decided.append((name, len(calls)))
+        return add(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(ops.ValidationReport, "add", recorded)
+    assert ops.validate_nonlocal(op).passed
+    spent = {name: calls[before:count]
+             for (_, before), (name, count) in zip(decided, decided[1:])}
+    for name in ("connection_symmetric", "metric_compatible", "killing", "cyclic"):
+        assert spent[name] == [], name
+    del calls[:]
+    assert pc.pair_check(eta, op).passed
     assert calls == []
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from pencil_forge.catalog import builtin_case
+from pencil_forge.diffgeo import levi_civita
 from pencil_forge.symcore import Expr
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -41,5 +43,13 @@ def test_wrapped_name_resolves(module, attr):
 
 
 def test_normal_form_slot():
+    """The tracer counts a normal_form call as a cache hit when _nf is set,
+    so an Expr that carries a value of the factored algebra keeps _nf None
+    until its normal form is exported."""
     assert callable(Expr.__dict__["normal_form"])
     assert "_nf" in Expr.__slots__
+    g = builtin_case("g1").metric()
+    entry = levi_civita(g).raised[0][0][0]
+    assert entry._carried is not None and entry._nf is None
+    nf = entry.normal_form()
+    assert entry._nf is nf
