@@ -42,11 +42,11 @@ operator's symbols, the isometry, the other metric of a pencil; an Expr
 this algebra emitted lifts to the value it carries).  A zero test reads
 the value's numerator on an Expr of that tree, so witnesses and the
 oracle's probed trees are those of the tree formulas; the tree is built
-only when the oracle or a witness reads it.  Where the metric has no
-algebra, or a lift falls outside it (a symbol or function atom without a
-generator, a denominator factor outside the basis, a logarithm or
-another radicand), the value is None and the tree is normalized as on
-the tree path; Lifted is the one place that makes this choice.
+only when the oracle probes it.  Where the metric has no algebra, or a
+lift falls outside it (a symbol or function atom without a generator, a
+denominator factor outside the basis, a logarithm or another radicand),
+the value is None and the tree is normalized as on the tree path; Lifted
+is the one place that makes this choice.
 
 The inverse metric of Metric.covariant is the exact adjugate over the
 determinant, as Expr trees.  Every other index contraction in the
