@@ -35,26 +35,26 @@ The checks that read the connection are decided in the same algebra:
 killing_defect, cyclic_defect and constant_curvature here, the
 connection_symmetric and metric_compatible checks of
 operators.validate_nonlocal, and the torsion of
-pencil.almost_compatible.  Their quantities are Lifted: an Expr tree,
-the one the Expr operators build, paired with its value, which comes
-from the metric's own tables or is lifted from a normal form (the
-operator's symbols, the isometry, the other metric of a pencil; an Expr
-this algebra emitted lifts to the value it carries).  A zero test reads
-the value's numerator on an Expr of that tree, so witnesses and the
-oracle's probed trees are those of the tree formulas; the tree is built
-only when the oracle probes it.  Where the metric has no algebra, or a
-lift falls outside it (a symbol or function atom without a generator, a
-denominator factor outside the basis, a logarithm or another radicand),
-the value is None and the tree is normalized as on the tree path; Lifted
-is the one place that makes this choice.
+pencil.almost_compatible.  They are the tree formulas on Exprs: Expr
+arithmetic carries the value wherever the operands carry values of one
+algebra, sc.diff differentiates a carried value in the algebra, and
+is_zero reads the numerator, so witnesses and the oracle's probed trees
+are those of the tree formulas, and a tree is built only when something
+reads it.  Their leaves carry values from the metric's own tables (the
+emitted entries) or through carry, which lifts a normal form (the
+metric's entries, the operator's symbols, the isometry, the other metric
+of a pencil).  Where the metric has no algebra, or a lift falls outside
+it (a symbol or function atom without a generator, a denominator factor
+outside the basis, a logarithm or another radicand), the leaf carries
+nothing, and neither does any quantity built from it: is_zero normalizes
+its tree as on the tree path.
 
 The inverse metric of Metric.covariant is the exact adjugate over the
 determinant, as Expr trees.  Every other index contraction in the
 package goes through contract (a sum of terms over one index, added left
-to right onto zero) or Lifted.contract (the same sum of lifted terms,
-with their values), and every tensor table is built by tensor (an
-n x ... x n nested tuple from an index function); none of them
-normalizes.
+to right onto zero, which carries the terms' value), and every tensor
+table is built by tensor (an n x ... x n nested tuple from an index
+function); none of them normalizes.
 Every vanishing condition is decided by first_nonzero, the one scan: it
 zero-tests components in a given order and returns the first nonzero one.
 """
@@ -97,10 +97,7 @@ __all__ = [
     "tensor",
     "first_nonzero",
     "skew_indices",
-    "Lifted",
-    "lifted_metric",
-    "lifted_covariant",
-    "lifted_connection",
+    "carry",
 ]
 
 
@@ -189,9 +186,6 @@ class Metric:
         self._connection: "Connection | None" = None
         self._curvature: "CurvatureTensor | None" = None
         self._factored: "_Factored | None | bool" = False  # False: not yet built
-        self._lower_values: tuple | None = None
-        self._raised_values: tuple | None = None
-        self._lifted: tuple | None = None
 
     @property
     def det(self) -> Expr:
@@ -310,6 +304,7 @@ class _Factored:
         self._dgens: dict[tuple[int, int], Value | None] = {}
         self._dbases: dict[tuple[int, int], Value] = {}
         self._dargs: dict[tuple[sp.Expr, int], Value] = {}
+        self._derivatives: dict[tuple[Value, int, Context], Expr | None] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -346,13 +341,10 @@ class _Factored:
         return self.sum(terms)
 
     def lift(self, e: Expr) -> Value | None:
-        """The value of e, or None where e falls outside the algebra: no
-        normal form, a logarithm, another radicand, a symbol without a
-        generator, a function atom without one or without the next
-        derivative order, or a denominator factor outside the basis.  An
-        Expr this algebra emitted gives the value it carries."""
-        if e._carried is not None and e._carried[0] is self:
-            return e._carried[1]
+        """The value of e's normal form, or None where e falls outside the
+        algebra: no normal form, a logarithm, another radicand, a symbol
+        without a generator, a function atom without one or without the
+        next derivative order, or a denominator factor outside the basis."""
         try:
             form = e.normal_form()
         except sc.NormalizationError:
@@ -440,6 +432,17 @@ class _Factored:
                     map(operator.add, db[1], unit)))))
         return self.sum(terms)
 
+    def derivative(self, x: Value, k: int, ctx: Context) -> Expr | None:
+        """d/du^k of x, emitted in ctx (sc.diff of an Expr carrying x) and
+        kept for reuse; None where x holds an atom whose next derivative
+        order the ring lacks."""
+        key = (x, k, ctx)
+        if key not in self._derivatives:
+            top = any(a not in self.next_atom and x[0].degree(self.index[a]) > 0
+                      for a in self.atom_args)
+            self._derivatives[key] = None if top else self.emit(self.d(x, k), ctx)
+        return self._derivatives[key]
+
     def _d_poly(self, p: PolyElement, k: int) -> Value:
         return self.sum(
             self.mul((p.diff(j), self.zeros), dg)
@@ -479,15 +482,11 @@ class _Factored:
 
     # -- emission -------------------------------------------------------------------
 
-    def emit(self, x: Value, tree: Expr | None = None, ctx: Context | None = None) -> Expr:
-        """x as an Expr that carries it: its normal form is exported on
-        first read, and is_zero reads the numerator.  tree, an Expr of the
-        same value, gives the Expr's tree, unbuilt, and its context; without
-        it the tree is the canonical one, in ctx (by default the
-        algebra's)."""
-        if tree is None:
-            return Expr(ctx or self.ctx, None, carried=(self, x))
-        return Expr(tree.ctx, lambda: tree.raw, carried=(self, x))
+    def emit(self, x: Value, ctx: Context | None = None) -> Expr:
+        """x as an Expr that carries it, in ctx (by default the algebra's):
+        its normal form, and the canonical tree, are exported on first
+        read, and is_zero reads the numerator."""
+        return Expr(ctx or self.ctx, None, carried=(self, x))
 
     def export(self, x: Value) -> sc._NormalForm:
         """The normal form of x, in lowest terms: each denominator base
@@ -510,116 +509,15 @@ class _Factored:
                               tuple(parts))
 
 
-class Lifted:
-    """An Expr tree paired with its value in a metric's factored algebra,
-    or with None where there is no algebra or a lift falls outside it.
-
-    Arithmetic builds the tree the Expr operators build and, where both
-    operands have one, the value.  expr() gives the tree carrying the
-    value, so a zero test on it reads the numerator and an oracle probes
-    the tree; without a value is_zero normalizes the tree, as on the tree
-    path.  Trees are Exprs built on first read, so a quantity settled from
-    its value, or zero-tested with the oracle off, never builds the tree it
-    was computed from."""
-
-    __slots__ = ("alg", "value", "tree", "_d")
-
-    def __init__(self, alg: _Factored | None, value: Value | None, tree: Expr):
-        self.alg, self.value, self.tree = alg, value, tree
-        self._d: dict[int, Lifted] = {}
-
-    @classmethod
-    def of(cls, alg: _Factored | None, e: Expr) -> "Lifted":
-        """e with its value, where alg reaches it."""
-        return cls(alg, None if alg is None else alg.lift(e), e)
-
-    @classmethod
-    def contract(cls, alg: _Factored | None, ctx: Context, n: int,
-                 term: Callable[[int], "Lifted"]) -> "Lifted":
-        """contract over lifted terms: the same tree, and the sum of the values."""
-        zero = cls(alg, None if alg is None else alg.zero, ctx.number(0))
-        return sum((term(s) for s in range(n)), zero)
-
-    @property
-    def ctx(self) -> Context:
-        return self.tree.ctx
-
-    def _combine(self, other: "Lifted", op, value: Callable[[], Value]) -> "Lifted":
-        both = self.value is not None and other.value is not None
-        return Lifted(self.alg, value() if both else None, Expr(
-            sc._join(self.ctx, other.ctx), lambda: op(self.tree.raw, other.tree.raw)))
-
-    def __add__(self, other: "Lifted") -> "Lifted":
-        return self._combine(other, operator.add,
-                             lambda: self.alg.sum((self.value, other.value)))
-
-    def __sub__(self, other: "Lifted") -> "Lifted":
-        return self._combine(other, operator.sub, lambda: self.alg.sum(
-            (self.value, self.alg.scale(other.value, -1))))
-
-    def __mul__(self, other: "Lifted") -> "Lifted":
-        return self._combine(other, operator.mul,
-                             lambda: self.alg.mul(self.value, other.value))
-
-    def __neg__(self) -> "Lifted":
-        value = None if self.value is None else self.alg.scale(self.value, -1)
-        return Lifted(self.alg, value, Expr(self.ctx, lambda: -self.tree.raw))
-
-    def d(self, k: int) -> "Lifted":
-        """d/du^k, its tree in lowest terms as diff gives it; kept for reuse."""
-        if k not in self._d:
-            if self.value is None:
-                self._d[k] = Lifted(self.alg, None, sc.diff(self.tree, self.ctx.fields[k]))
-            else:
-                dv = self.alg.d(self.value, k)
-                self._d[k] = Lifted(self.alg, dv, self.alg.emit(dv, ctx=self.ctx))
-        return self._d[k]
-
-    def settled(self) -> "Lifted":
-        """Its tree in lowest terms, as Expr.normalized gives it."""
-        if self.value is None:
-            return Lifted(self.alg, None, self.tree.normalized())
-        return Lifted(self.alg, self.value, self.alg.emit(self.value, ctx=self.ctx))
-
-    def expr(self) -> Expr:
-        """The tree, carrying the value where there is one."""
-        return self.tree if self.value is None else self.alg.emit(self.value, self.tree)
-
-
-def _leaves(alg: _Factored | None, table: tuple, values: tuple | None, n: int,
-            rank: int) -> tuple:
-    """The Expr table with its values, where there are values."""
-    at = lambda t, ix: functools.reduce(operator.getitem, ix, t)  # noqa: E731
-    return tensor(n, rank, lambda *ix: Lifted(
-        alg, None if values is None else at(values, ix), at(table, ix)))
-
-
-def lifted_metric(g: "Metric") -> tuple:
-    """g^{ij}, lifted once per metric, so their derivatives are shared."""
-    if g._lifted is None:
-        alg = g._algebra()
-        values = None if alg is None else tensor(
-            g.n, 2, lambda i, j: alg.entries[i * g.n + j])
-        g._lifted = _leaves(alg, g.entries, values, g.n, 2)
-    return g._lifted
-
-
-def lifted_covariant(g: "Metric") -> tuple:
-    """g_{ij}, lifted; the tree Metric.covariant is built only where it is
-    read, which a quantity with a value never does."""
-    alg = g._algebra()
-    ctx = functools.reduce(sc._join, (e.ctx for row in g.entries for e in row))
-    return tensor(g.n, 2, lambda i, j: Lifted(
-        alg, None if alg is None else alg.covariant[i][j],
-        Expr(ctx, lambda: g.covariant[i][j].raw)))
-
-
-def lifted_connection(g: "Metric") -> tuple[tuple, tuple]:
-    """Gamma^i_{jk} and Gamma^{ij}_k of the Levi-Civita connection, lifted."""
-    conn = levi_civita(g)
-    alg = g._algebra()
-    return (_leaves(alg, conn.lower, g._lower_values, g.n, 3),
-            _leaves(alg, conn.raised, g._raised_values, g.n, 3))
+def carry(alg: _Factored | None, e: Expr) -> Expr:
+    """e carrying its value in alg: e itself where alg emitted it, where
+    there is no algebra or where e falls outside it (_Factored.lift);
+    otherwise e's context, tree and normal form with the value lifted from
+    that normal form."""
+    if alg is None or (e._carried is not None and e._carried[0] is alg):
+        return e
+    value = alg.lift(e)
+    return e if value is None else Expr(e.ctx, (operator.pos, e), e.normal_form(), (alg, value))
 
 
 def _det_values(alg: _Factored, rows: Sequence[Sequence[Value]]) -> Value:
@@ -662,7 +560,6 @@ class CurvatureTensor:
         self.mixed = mixed
         self._raise = raise_
         self._raised: tuple | None = None
-        self._raised_values: tuple | None = None  # k < l, on the factored path
 
     @property
     def n(self) -> int:
@@ -727,7 +624,6 @@ def levi_civita(g: Metric) -> Connection:
     raised = tensor(n, 3, lambda i, j, k: alg.scale(alg.sum(
         alg.mul(entries[i][s], lower[j][s][k]) for s in range(n)
     ), -1))
-    g._lower_values, g._raised_values = lower, raised
     emit = alg.emit
     g._connection = Connection(
         alg.ctx,
@@ -742,13 +638,13 @@ def riemann(g: Metric) -> CurvatureTensor:
     computed, the rest follow by antisymmetry."""
     if g._curvature is not None:
         return g._curvature
-    levi_civita(g)
+    conn = levi_civita(g)
     alg = g._algebra()
     if alg is None:
         g._curvature = _tree_curvature(g)
         return g._curvature
-    gamma = g._lower_values
     n = g.n
+    gamma = tensor(n, 3, lambda i, j, k: conn.lower[i][j][k]._carried[1])
     d_gamma = functools.lru_cache(maxsize=None)(
         lambda i, j, k, m: alg.d(gamma[i][j][k], m))
     mixed = tensor(n, 4, lambda i, j, k, l: alg.sum((
@@ -757,22 +653,11 @@ def riemann(g: Metric) -> CurvatureTensor:
         *(alg.scale(alg.mul(gamma[i][l][s], gamma[s][k][j]), -1) for s in range(n)),
     )) if k < l else None)
     entries = tensor(n, 2, lambda i, j: alg.entries[i * n + j])
-
-    def raised():
-        curv._raised_values = tensor(n, 4, lambda i, j, k, l: alg.sum(
+    g._curvature = CurvatureTensor(g, _emitted_skew(g.ctx, alg, mixed), lambda: _emitted_skew(
+        g.ctx, alg, tensor(n, 4, lambda i, j, k, l: alg.sum(
             alg.mul(entries[i][s], mixed[j][s][k][l]) for s in range(n)
-        ) if k < l else None)
-        return _emitted_skew(g.ctx, alg, curv._raised_values)
-
-    curv = g._curvature = CurvatureTensor(g, _emitted_skew(g.ctx, alg, mixed), raised)
-    return curv
-
-
-def _skew_value(alg: _Factored, values: tuple, i: int, j: int, k: int, l: int) -> Value:
-    """Entry (i, j, k, l) of the antisymmetric table given for k < l."""
-    if k == l:
-        return alg.zero
-    return values[i][j][k][l] if k < l else alg.scale(values[i][j][l][k], -1)
+        ) if k < l else None)))
+    return g._curvature
 
 
 def _emitted_skew(ctx: Context, alg: _Factored, values: tuple) -> tuple:
@@ -841,21 +726,15 @@ def constant_curvature(g: Metric) -> Expr | None:
     ctx = g.ctx
     if n == 1:
         return ctx.number(0)
-    alg = g._algebra()
-    table = curv.raised  # sets curv._raised_values on the factored path
-
-    def raised(i: int, j: int, k: int, l: int) -> Lifted:
-        return Lifted(alg, None if alg is None else _skew_value(
-            alg, curv._raised_values, i, j, k, l), table[i][j][k][l])
-
-    c = raised(0, 1, 1, 0)
-    delta = {d: Lifted.of(alg, c.ctx.number(d)) for d in (-1, 0, 1)}
-    if first_nonzero(((k,) for k in range(n)), lambda k: c.d(k).tree) or first_nonzero(
-        product(range(n), repeat=4), lambda i, j, k, l: (raised(i, j, k, l) - c * delta[
-            (i == l and j == k) - (i == k and j == l)]).expr()
+    raised = curv.raised
+    c = raised[0][1][1][0]
+    delta = {d: c.ctx.number(d) for d in (-1, 0, 1)}
+    if first_nonzero(((k,) for k in range(n)), lambda k: sc.diff(c, ctx.fields[k])) or first_nonzero(
+        product(range(n), repeat=4), lambda i, j, k, l: raised[i][j][k][l] - c * delta[
+            (i == l and j == k) - (i == k and j == l)]
     ):
         return None
-    return c.tree.normalized()
+    return c.normalized()
 
 
 def killing_defect(g: Metric, f: VectorField) -> tuple[int, int, Expr] | None:
@@ -863,15 +742,16 @@ def killing_defect(g: Metric, f: VectorField) -> tuple[int, int, Expr] | None:
     metric along f: f^k d_k g^{ij} - g^{kj} d_k f^i - g^{ik} d_k f^j."""
     n = g.n
     alg = g._algebra()
-    entries = lifted_metric(g)
-    field = [Lifted.of(alg, c) for c in f.components]
+    entries = tensor(n, 2, lambda i, j: carry(alg, g.entries[i][j]))
+    field = [carry(alg, c) for c in f.components]
+    fields = g.ctx.fields
     return first_nonzero(
         ((i, j) for i, j in product(range(n), repeat=2) if i <= j),
-        lambda i, j: Lifted.contract(alg, g.ctx, n, lambda k: (
-            field[k] * entries[i][j].d(k)
-            - entries[k][j] * field[i].d(k)
-            - entries[i][k] * field[j].d(k)
-        )).expr(),
+        lambda i, j: contract(g.ctx, n, lambda k: (
+            field[k] * sc.diff(entries[i][j], fields[k])
+            - entries[k][j] * sc.diff(field[i], fields[k])
+            - entries[i][k] * sc.diff(field[j], fields[k])
+        )),
     )
 
 
@@ -885,21 +765,21 @@ def cyclic_defect(g: Metric, f: VectorField) -> tuple[int, int, int, Expr] | Non
     + f^i grad^k f^j, with grad^i = g^{is} grad_s and
     grad_s f^k = d_s f^k + Gamma^k_{sm} f^m."""
     n = g.n
-    lower, _ = lifted_connection(g)
+    ctx = g.ctx
+    lower = levi_civita(g).lower
     alg = g._algebra()
-    entries = lifted_metric(g)
-    field = [Lifted.of(alg, c) for c in f.components]
-    contract = partial(Lifted.contract, alg, g.ctx, n)
-    nabla_lower = tensor(n, 2, lambda s, k: field[k].d(s) + contract(
-        lambda m: lower[k][s][m] * field[m]
+    entries = tensor(n, 2, lambda i, j: carry(alg, g.entries[i][j]))
+    field = [carry(alg, c) for c in f.components]
+    nabla_lower = tensor(n, 2, lambda s, k: sc.diff(field[k], ctx.fields[s]) + contract(
+        ctx, n, lambda m: lower[k][s][m] * field[m]
     ))
     nabla_upper = tensor(n, 2, lambda i, k: contract(
-        lambda s: entries[i][s] * nabla_lower[s][k]
+        ctx, n, lambda s: entries[i][s] * nabla_lower[s][k]
     ))
     return first_nonzero(product(range(n), repeat=3), lambda i, j, k: (
         field[j] * nabla_upper[i][k] + field[k] * nabla_upper[j][i]
         + field[i] * nabla_upper[k][j]
-    ).expr())
+    ))
 
 
 def cyclic_check(g: Metric, f: VectorField) -> bool:

@@ -94,7 +94,7 @@ def almost_compatible(g: Metric, gt: Metric) -> bool:
     Decided by Mokhov's identity T^{ijk} = g^{is} Gammat^{jk}_s
     + gt^{is} Gamma^{jk}_s - (i <-> j) = 0 for i < j, from the connections
     of g and gt alone (see the module docstring), decided in g's factored
-    algebra with gt's entries and symbols lifted into it (diffgeo.Lifted);
+    algebra with gt's entries and symbols carried into it (diffgeo.carry);
     raises DegeneratePencilError when det(g + lambda*gt) vanishes
     identically.
     """
@@ -105,17 +105,17 @@ def almost_compatible(g: Metric, gt: Metric) -> bool:
 def _almost(pencil: Pencil) -> bool:
     n = pencil.n
     alg = pencil.g._algebra()
-    g = dg.lifted_metric(pencil.g)
-    _, conn_g = dg.lifted_connection(pencil.g)
-    gt = dg.tensor(n, 2, lambda i, j: dg.Lifted.of(alg, pencil.gt.entries[i][j]))
+    g = dg.tensor(n, 2, lambda i, j: dg.carry(alg, pencil.g.entries[i][j]))
+    conn_g = dg.levi_civita(pencil.g).raised
+    gt = dg.tensor(n, 2, lambda i, j: dg.carry(alg, pencil.gt.entries[i][j]))
     raised_t = dg.levi_civita(pencil.gt).raised
-    conn_t = dg.tensor(n, 3, lambda i, j, k: dg.Lifted.of(alg, raised_t[i][j][k]))
+    conn_t = dg.tensor(n, 3, lambda i, j, k: dg.carry(alg, raised_t[i][j][k]))
 
     def torsion(i: int, j: int, k: int) -> Expr:
-        return dg.Lifted.contract(alg, pencil.ctx, n, lambda s: (
+        return dg.contract(pencil.ctx, n, lambda s: (
             g[i][s] * conn_t[j][k][s] + gt[i][s] * conn_g[j][k][s]
             - g[j][s] * conn_t[i][k][s] - gt[j][s] * conn_g[i][k][s]
-        )).expr()
+        ))
 
     upper = ((i, j, k) for i, j, k in product(range(n), repeat=3) if i < j)
     return dg.first_nonzero(upper, torsion) is None

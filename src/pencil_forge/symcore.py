@@ -35,9 +35,13 @@ cleared.  A denominator c*(a + b*t), with c = gcd free of t, is
 rationalized by conjugating a + b*t alone.  Each component is converted
 back to an expanded sympy numerator and denominator.  An Expr builds
 that sympy side on first read: its tree, its normal form and its
-canonical tree.  One that carries a value of diffgeo's factored algebra
-decides is_zero on the value's numerator and exports its normal form
-only when something reads it.  Square-free
+canonical tree; arithmetic builds no tree until one is read.  One that
+carries a value of diffgeo's factored algebra decides is_zero on the
+value's numerator and exports its normal form only when something reads
+it.  A sum, difference or product of Exprs carrying values of one
+algebra, or of one such Expr and a rational constant, carries the value
+the algebra computes, and so does a negation; any other result carries
+nothing.  Square-free
 decomposition of radicands still goes through sympy.sqf_list, memoized
 per radicand.  The grammar, the normal form and the decision procedures
 here are self-contained.
@@ -55,6 +59,10 @@ summed and brought to lowest terms as _field_value does, with one cancel,
 and emitted as _normalize emits components, so the derivative carries its
 normal form and canonical tree.  An operand free of every symbol D moves
 has derivative 0 at once; other derivatives are memoized per normal form.
+diff by a field of an Expr that carries a factored value is instead the
+algebra's quotient rule on the value, emitted and memoized per value,
+except where the value holds a function atom whose next derivative order
+the algebra's ring lacks.
 
 Integration also starts from the normal form.  antiderivative integrates
 each part's coefficient num/den in v by partial fractions over K[v], K the
@@ -798,16 +806,19 @@ class Expr:
     """Immutable scalar expression bound to a context.
 
     Its sympy side is built on first read.  raw, the tree, is given built,
-    as a function that builds it, or as None for the canonical tree of the
-    normal form.  An Expr of diffgeo's factored algebra carries the pair
-    (algebra, value): is_zero reads only the value's numerator value[0],
-    and algebra.export(value) gives the normal form when one is read."""
+    as (op, *operands) for op applied to the operands' trees (Exprs) and
+    other arguments, as +, -, *, / and ** give it, or as None for the
+    canonical tree of the normal form.  An Expr of
+    diffgeo's factored algebra carries the pair (algebra, value): is_zero
+    reads only the value's numerator value[0], algebra.export(value) gives
+    the normal form when one is read, and arithmetic and diff carry values
+    on as the module docstring says."""
 
     __slots__ = ("ctx", "_raw", "_nf", "_canonical", "_carried")
 
     def __init__(self, ctx: Context, raw, nf: _NormalForm | None = None,
                  carried: tuple | None = None):
-        if not (raw is None or isinstance(raw, sp.Basic) or callable(raw)):
+        if not (raw is None or isinstance(raw, (sp.Basic, tuple))):
             raw = sp.sympify(raw)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_raw", raw)
@@ -820,11 +831,9 @@ class Expr:
 
     @property
     def raw(self) -> sp.Expr:
-        raw = self._raw
-        if not isinstance(raw, sp.Basic):
-            raw = self.canonical if raw is None else raw()
-            object.__setattr__(self, "_raw", raw)
-        return raw
+        if not isinstance(self._raw, sp.Basic):
+            _build(self)
+        return self._raw
 
     # -- normal form ------------------------------------------------------
 
@@ -878,40 +887,36 @@ class Expr:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        o = _coerce(self.ctx, other)
-        return Expr(_join(self.ctx, o.ctx), self.raw + o.raw)
+        return _combine(self, _coerce(self.ctx, other), operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(self.ctx, other)
-        return Expr(_join(self.ctx, o.ctx), self.raw - o.raw)
+        return _combine(self, _coerce(self.ctx, other), operator.sub)
 
     def __rsub__(self, other):
-        o = _coerce(self.ctx, other)
-        return Expr(_join(self.ctx, o.ctx), o.raw - self.raw)
+        return _combine(_coerce(self.ctx, other), self, operator.sub)
 
     def __mul__(self, other):
-        o = _coerce(self.ctx, other)
-        return Expr(_join(self.ctx, o.ctx), self.raw * o.raw)
+        return _combine(self, _coerce(self.ctx, other), operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(self.ctx, other)
-        return Expr(_join(self.ctx, o.ctx), self.raw / o.raw)
+        return _combine(self, _coerce(self.ctx, other), operator.truediv)
 
     def __rtruediv__(self, other):
-        o = _coerce(self.ctx, other)
-        return Expr(_join(self.ctx, o.ctx), o.raw / self.raw)
+        return _combine(_coerce(self.ctx, other), self, operator.truediv)
 
     def __neg__(self):
-        return Expr(self.ctx, -self.raw)
+        carried = self._carried
+        return Expr(self.ctx, (operator.neg, self), carried=None if carried is None else (
+            carried[0], carried[0].scale(carried[1], -1)))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("only integer powers are supported")
-        return Expr(self.ctx, self.raw ** exponent)
+        return Expr(self.ctx, (operator.pow, self, exponent))
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -926,6 +931,56 @@ class Expr:
 
     def __str__(self):
         return render(self)
+
+
+def _value_in(alg, e: Expr):
+    """e's value in the algebra alg: the one it carries there, a rational
+    constant's, or None."""
+    carried = e._carried
+    if carried is not None:
+        return carried[1] if carried[0] is alg else None
+    return alg.scale(alg.one, e._raw) if isinstance(e._raw, sp.Rational) else None
+
+
+# the value a sum, difference or product carries, from its operands' values
+_VALUES = {
+    operator.add: lambda alg, x, y: alg.sum((x, y)),
+    operator.sub: lambda alg, x, y: alg.sum((x, alg.scale(y, -1))),
+    operator.mul: lambda alg, x, y: alg.mul(x, y),
+}
+
+
+def _combine(a: Expr, b: Expr, op) -> Expr:
+    """a op b, its tree built on first read.  A sum, difference or product
+    carries the value _VALUES gives where a and b have values in one
+    algebra (see _value_in)."""
+    carried = None
+    alg = (a._carried or b._carried or (None,))[0]
+    if op in _VALUES and alg is not None:
+        x, y = _value_in(alg, a), _value_in(alg, b)
+        if x is not None and y is not None:
+            carried = (alg, _VALUES[op](alg, x, y))
+    return Expr(_join(a.ctx, b.ctx), (op, a, b), carried=carried)
+
+
+def _build(e: Expr):
+    """Builds e's tree and those of the unbuilt operands it rests on, from
+    an explicit stack, so that a long chain of operations does not recurse."""
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        raw = x._raw
+        if raw is None:
+            raw = x.canonical
+        elif isinstance(raw, tuple):
+            unbuilt = [a for a in raw[1:] if isinstance(a, Expr) and not isinstance(
+                a._raw, sp.Basic)]
+            if unbuilt:
+                stack += unbuilt
+                continue
+            raw = raw[0](*(a._raw if isinstance(a, Expr) else a for a in raw[1:]))
+        object.__setattr__(x, "_raw", raw)
+        stack.pop()
 
 
 def _coerce(ctx: Context, value) -> Expr:
@@ -1402,8 +1457,16 @@ def _derivative(e: Expr, images: tuple) -> Expr:
 
 
 def diff(e: Expr, s) -> Expr:
-    """Exact partial derivative with respect to a declared symbol."""
-    return _derivative(e, ((_resolve_symbol(e.ctx, s), sp.Integer(1)),))
+    """Exact partial derivative with respect to a declared symbol.  By a
+    field, an Expr that carries a factored value is differentiated in its
+    algebra where the ring holds the result."""
+    sym = _resolve_symbol(e.ctx, s)
+    carried = e._carried
+    if carried is not None and sym in e.ctx.field_syms:
+        d = carried[0].derivative(carried[1], e.ctx.field_syms.index(sym), e.ctx)
+        if d is not None:
+            return d
+    return _derivative(e, ((sym, sp.Integer(1)),))
 
 
 def total_x_derivative(e: Expr) -> Expr:

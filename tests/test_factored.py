@@ -10,12 +10,17 @@ random rational metrics, some with a square-root entry, the emitted entries
 carry the normal forms and canonical trees of the Expr formulas each entry
 was normalized from before (the tree path, forced by a metric whose
 factored algebra is switched off); and with random polynomial isometries
-validate_nonlocal and pair_check give the same reports on both paths.  The
-hypothesis seeds are fixed and the example counts bounded."""
+validate_nonlocal and pair_check give the same reports on both paths.
+Also pinned: the rules by which Expr arithmetic carries a value, sc.diff
+of a carried value against the export path, and the derivatives the
+checks share.  The hypothesis seeds are fixed and the example counts
+bounded."""
 
+import operator
 import random
 
 import pytest
+import sympy as sp
 from sympy.polys.fields import FracField
 from sympy.polys.rings import PolyElement
 
@@ -169,8 +174,10 @@ def test_emitted_entries_are_exported_when_read(monkeypatch):
 def test_lifted_checks_export_nothing(monkeypatch):
     """On g9 with the oracle off, with the connections and curvature
     computed and the case's operators built, the connection_symmetric,
-    metric_compatible, killing and cyclic checks of validate_nonlocal and
-    all of pair_check turn no value into sympy trees: their zero tests read
+    metric_compatible, killing and cyclic checks of validate_nonlocal, the
+    checks of its local part (the operator's symbols against the
+    Levi-Civita symbols, which are the same emitted entries) and all of
+    pair_check turn no value into sympy trees: their zero tests read
     numerators, and the trees they were computed from stay unbuilt."""
     monkeypatch.setattr(sc, "_STATE", sc._ProbeState(0))
     case = cat.builtin_case("g9")
@@ -192,11 +199,121 @@ def test_lifted_checks_export_nothing(monkeypatch):
     assert ops.validate_nonlocal(op).passed
     spent = {name: calls[before:count]
              for (_, before), (name, count) in zip(decided, decided[1:])}
-    for name in ("connection_symmetric", "metric_compatible", "killing", "cyclic"):
+    for name in ("connection_symmetric", "metric_compatible", "killing", "cyclic",
+                 "levi_civita_symbols", "flat", "local_part_valid"):
         assert spent[name] == [], name
     del calls[:]
     assert pc.pair_check(eta, op).passed
     assert calls == []
+
+
+def test_checks_share_derivatives(monkeypatch):
+    """validate_nonlocal and pair_check on g9 differentiate each distinct
+    value once per field: 36 top-level _Factored.d calls.  riemann's 8,
+    eta's connection 8, metric compatibility 6 (g^{12} = g^{21}), the
+    isometry's 4 in g9's algebra and eta's entries and isometry 8 in
+    eta's, and constant_curvature 2; Killing, the cyclic condition and
+    metric_killing reuse the derivatives metric compatibility and Killing
+    took."""
+    case = cat.builtin_case("g9")
+    op, eta = case.operator(), case.eta()
+    calls, depth = [], []
+    d = dg._Factored.d
+
+    def counted(self, x, k):
+        if not depth:
+            calls.append(k)
+        depth.append(k)
+        try:
+            return d(self, x, k)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(dg._Factored, "d", counted)
+    assert ops.validate_nonlocal(op).passed
+    assert pc.pair_check(eta, op).passed
+    assert len(calls) == 36
+
+
+def _carrying():
+    """Two entries of g1's connection, carrying values of g1's algebra, and
+    one of g5's, carrying a value of another algebra."""
+    conn = dg.levi_civita(cat.builtin_case("g1").metric())
+    other = dg.levi_civita(cat.builtin_case("g5").metric())
+    return conn.raised[0][0][1], conn.lower[0][0][0], other.raised[0][0][1]
+
+
+def _tree_form(e):
+    """The normal form of e's tree, normalized without its value."""
+    return sc._normalize(e.raw)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_carries_the_value(op):
+    a, b, _ = _carrying()
+    e = op(a, b)
+    assert e._carried[0] is a._carried[0]
+    assert not isinstance(e._raw, sp.Basic) and a._raw is None and b._raw is None
+    assert e.normal_form() == sc._normalize(op(a.raw, b.raw))
+    neg = -a
+    assert neg._carried[0] is a._carried[0] and not isinstance(neg._raw, sp.Basic)
+    assert neg.normal_form() == _tree_form(neg)
+
+
+def test_arithmetic_without_a_shared_value_carries_none():
+    """Another algebra, or an operand that carries nothing and is not a
+    rational constant, gives no value; is_zero then normalizes the tree."""
+    a, _, other = _carrying()
+    u = a.ctx.parse("u")
+    for e in (a + other, other - a, a * other, a * u, u - a, a / a):
+        assert e._carried is None
+        assert e.normal_form() == _tree_form(e)
+    assert not sc.is_zero(a - other) and sc.is_zero(a / a - 1)
+
+
+def test_rational_constants_keep_the_value():
+    """contract onto ctx.number(0), and products with a rational, keep the
+    value and the tree; a constant's value is its own."""
+    a, _, _ = _carrying()
+    ctx = a.ctx
+    for e in (ctx.number(0) + a, a * ctx.number(-1), 2 - a, a * sp.Rational(1, 2),
+              dg.contract(ctx, 2, lambda s: (a, -a)[s])):
+        assert e._carried is not None and e._carried[0] is a._carried[0]
+        assert e.normal_form() == _tree_form(e)
+    assert sc.is_zero(dg.contract(ctx, 2, lambda s: (a, -a)[s]))
+    assert (ctx.number(0) + a).raw == a.raw
+
+
+@pytest.mark.parametrize("name", [c.name for c in cat.builtin_cases()])
+def test_diff_of_emitted_entries_matches_the_export_path(name):
+    """sc.diff of each emitted connection entry, in each field, is taken in
+    the algebra and has the normal form that differentiating the exported
+    entry gives."""
+    g = cat.builtin_case(name).metric()
+    conn = dg.levi_civita(g)
+    for e in [*_entries(conn.lower), *_entries(conn.raised)]:
+        for field in g.ctx.fields:
+            d = sc.diff(e, field)
+            assert d._carried is not None and d._carried[0] is e._carried[0]
+            assert d.normal_form() == sc.diff(sc.Expr(e.ctx, e.raw), field).normal_form()
+
+
+def test_diff_outside_the_ring_falls_back():
+    """By a parameter, and past the top derivative order of an atom the
+    ring holds (the third derivative of g11 in g2's), sc.diff takes the
+    normal-form path."""
+    g1 = cat.builtin_case("g1").metric()
+    a = dg.levi_civita(g1).raised[0][0][0]
+    d = sc.diff(a, "alpha")
+    assert d._carried is None
+    assert d.normal_form() == sc.diff(sc.Expr(a.ctx, a.raw), "alpha").normal_form()
+    g2 = cat.builtin_case("g2").metric()
+    e = dg.carry(g2._algebra(), g2.entries[0][0])
+    for _ in range(3):
+        e = sc.diff(e, "v")
+        assert e._carried is not None
+    top = sc.diff(e, "v")
+    assert top._carried is None and sc.render(top) == "g11''''(v)"
 
 
 def test_lift_outside_the_algebra_is_none():

@@ -244,6 +244,15 @@ class TestNormalization:
             n2 = n1.normalized()
             assert n1 == n2
 
+    def test_long_chain_of_operations_builds_its_tree(self, ctx):
+        """Arithmetic builds trees on first read, one operand after another
+        without recursion, so a chain of 3000 operations still builds."""
+        u, e = ctx.var("u"), ctx.number(0)
+        for k in range(3000):
+            e = e + u if k % 2 else e - u * 2
+        assert not isinstance(e._raw, sp.Basic)
+        assert e.raw == -1500 * sp.Symbol("u")
+
     def test_equal_trees_share_one_normal_form(self, ctx):
         text = "(u^2 - v^2)/(u - v) + sqrt(4*u^2*v)"
         assert ctx.parse(text).normal_form() is ctx.parse(text).normal_form()
