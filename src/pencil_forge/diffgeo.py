@@ -26,10 +26,16 @@ it (the entries of Connection and CurvatureTensor): is_zero reads num,
 and only a read of its normal form or tree exports it, in lowest terms,
 each denominator base divided out of each numerator component as often
 as it divides exactly, to the normal form _normalize would give it.
-Entries nothing reads are never exported.  A metric outside the
-algebra's reach (an entry with a logarithm, two radicands, an entry
-without a normal form, or a vanishing determinant) takes the tree path
-instead: the same formulas on Exprs, each kept entry normalized.
+Entries nothing reads are never exported.
+
+levi_civita and riemann are one set of Expr formulas, each kept entry
+normalized, on the metric's leaves (Metric.leaves, .covariant_leaves):
+its entries carrying their values and its inverse emitted from the
+algebra, so Expr arithmetic (below) computes them in the algebra.  A
+metric outside the algebra's reach (an entry with a logarithm, two
+radicands, an entry without a normal form, or a vanishing determinant)
+has its entries and Metric.covariant's adjugate trees as leaves; nothing
+carries a value, and each kept entry is normalized from its tree.
 
 The checks that read the connection are decided in the same algebra:
 killing_defect, cyclic_defect and constant_curvature here, the
@@ -40,21 +46,22 @@ arithmetic carries the value wherever the operands carry values of one
 algebra, sc.diff differentiates a carried value in the algebra, and
 is_zero reads the numerator, so witnesses and the oracle's probed trees
 are those of the tree formulas, and a tree is built only when something
-reads it.  Their leaves carry values from the metric's own tables (the
-emitted entries) or through carry, which lifts a normal form (the
-metric's entries, the operator's symbols, the isometry, the other metric
-of a pencil).  Where the metric has no algebra, or a lift falls outside
-it (a symbol or function atom without a generator, a denominator factor
+reads it.  Their leaves carry values from the metric's own tables
+(Metric.leaves and the emitted entries) or through carry, which lifts a
+normal form (the operator's symbols, the isometry, the other metric of a
+pencil).  Where the metric has no algebra, or a lift falls outside it (a
+symbol or function atom without a generator, a denominator factor
 outside the basis, a logarithm or another radicand), the leaf carries
 nothing, and neither does any quantity built from it: is_zero normalizes
-its tree as on the tree path.
+its tree.
 
 The inverse metric of Metric.covariant is the exact adjugate over the
-determinant, as Expr trees.  Every other index contraction in the
-package goes through contract (a sum of terms over one index, added left
-to right onto zero, which carries the terms' value), and every tensor
-table is built by tensor (an n x ... x n nested tuple from an index
-function); none of them normalizes.
+determinant, as Expr trees; the formulas here read it only for a metric
+without an algebra.  Every other index contraction in the package goes
+through contract (a sum of terms over one index, added left to right
+onto zero, which carries the terms' value), and every tensor table is
+built by tensor (an n x ... x n nested tuple from an index function);
+none of them normalizes.
 Every vanishing condition is decided by first_nonzero, the one scan: it
 zero-tests components in a given order and returns the first nonzero one.
 """
@@ -195,10 +202,28 @@ class Metric:
 
     @property
     def covariant(self) -> ExprMatrix:
-        """Inverse matrix g_{ij}."""
+        """Inverse matrix g_{ij}, the exact adjugate over the determinant as
+        Expr trees."""
         if self._inverse is None:
             self._inverse = mat_inverse(self.entries, self.det)
         return self._inverse
+
+    @functools.cached_property
+    def leaves(self) -> ExprMatrix:
+        """g^{ij} as the tensor formulas read them: each entry carrying its
+        value in the metric's algebra and keeping its tree, as carry does;
+        the entries themselves where there is no algebra."""
+        alg, n = self._algebra(), self.n
+        return self.entries if alg is None else tensor(n, 2, lambda i, j: _carrying(
+            alg, self.entries[i][j], alg.entries[i * n + j]))
+
+    @functools.cached_property
+    def covariant_leaves(self) -> ExprMatrix:
+        """g_{ij} as the tensor formulas read them: emitted from the
+        algebra's values, or covariant where there is no algebra."""
+        alg = self._algebra()
+        return self.covariant if alg is None else tensor(
+            self.n, 2, lambda i, j: alg.emit(alg.covariant[i][j]))
 
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
@@ -246,7 +271,7 @@ class _Factored:
         except sc.NormalizationError:
             return None
         forms.append(g.det.normal_form())
-        if forms[-1].is_zero:  # no inverse: the tree path raises DegenerateMetricError
+        if forms[-1].is_zero:  # no inverse: Metric.covariant raises DegenerateMetricError
             return None
         radicands = {f.radicand for f in forms} - {None}
         if len(radicands) > 1 or any(L is not None for f in forms for (L, _), _ in f.parts):
@@ -516,7 +541,12 @@ def carry(alg: _Factored | None, e: Expr) -> Expr:
     that normal form."""
     if alg is None or (e._carried is not None and e._carried[0] is alg):
         return e
-    value = alg.lift(e)
+    return _carrying(alg, e, alg.lift(e))
+
+
+def _carrying(alg: _Factored, e: Expr, value: Value | None) -> Expr:
+    """e's context, tree and normal form carrying value in alg; e itself
+    where value is None."""
     return e if value is None else Expr(e.ctx, (operator.pos, e), e.normal_form(), (alg, value))
 
 
@@ -550,44 +580,32 @@ class Connection:
 
 
 class CurvatureTensor:
-    """mixed[i][j][k][l] = R^i_{jkl}; raised (R^{ij}_{kl} = g^{is} R^j_{skl})
-    is materialized on first access by the raise_ callable.  Both are
-    antisymmetric in (k, l)."""
+    """mixed[i][j][k][l] = R^i_{jkl}; raised[i][j][k][l] = R^{ij}_{kl} =
+    g^{is} R^j_{skl} on the metric's leaves, built on first access.  Both
+    are antisymmetric in (k, l) (_skew)."""
 
-    def __init__(self, metric: "Metric", mixed: tuple, raise_: Callable[[], tuple]):
+    def __init__(self, metric: "Metric", mixed: tuple):
         self.ctx = metric.ctx
         self.metric = metric
         self.mixed = mixed
-        self._raise = raise_
-        self._raised: tuple | None = None
 
     @property
     def n(self) -> int:
         return len(self.mixed)
 
-    def raised_component(self, g: "Metric", i: int, j: int, k: int, l: int) -> Expr:
-        """g^{is} R^j_{skl}, unnormalized, for any contravariant metric g."""
-        return contract(self.ctx, self.n, lambda s: g.entries[i][s] * self.mixed[j][s][k][l])
+    def raised_component(self, g: ExprMatrix, i: int, j: int, k: int, l: int) -> Expr:
+        """g^{is} R^j_{skl}, unnormalized, for any contravariant entries g^{ij}."""
+        return contract(self.ctx, self.n, lambda s: g[i][s] * self.mixed[j][s][k][l])
 
-    @property
+    @functools.cached_property
     def raised(self) -> tuple:
-        if self._raised is None:
-            self._raised = self._raise()
-        return self._raised
+        return _skew(self.ctx, self.n, lambda i, j, k, l: self.raised_component(
+            self.metric.leaves, i, j, k, l))
 
     def first_nonzero(self) -> tuple[int, int, int, int, Expr] | None:
         """(i, j, k, l, R^i_{jkl}) for the first nonzero mixed component
         with k < l, in lexicographic order; None when the metric is flat."""
         return first_nonzero(skew_indices(self.n), lambda i, j, k, l: self.mixed[i][j][k][l])
-
-
-def _skew_tensor(ctx: Context, n: int, upper: Callable[..., Expr],
-                 lower: Callable[..., Expr]) -> tuple:
-    """T[i][j][k][l] antisymmetric in (k, l): upper(i, j, k, l) for k < l,
-    lower(i, j, k, l) for k > l, zero on k = l."""
-    return tensor(n, 4, lambda i, j, k, l: (
-        upper(i, j, k, l) if k < l else lower(i, j, k, l) if k > l else ctx.number(0)
-    ))
 
 
 @dataclass(frozen=True)
@@ -603,94 +621,35 @@ class VectorField:
 
 
 def levi_civita(g: Metric) -> Connection:
-    """Levi-Civita connection of the metric, lowered and raised forms."""
+    """Levi-Civita connection of the metric, lowered and raised forms, on
+    the metric's leaves (Metric.leaves, Metric.covariant_leaves):
+    Gamma^i_{jk} = g^{is} (d_k g_{sj} + d_j g_{sk} - d_s g_{jk}) / 2 and
+    Gamma^{ij}_k = -g^{is} Gamma^j_{sk}, each kept entry normalized."""
     if g._connection is not None:
         return g._connection
     if not g.is_symmetric():
         raise ValueError("metric must be symmetric")
-    alg = g._algebra()
-    if alg is None:
-        g._connection = _tree_connection(g)
-        return g._connection
-    n = g.n
-    entries = tensor(n, 2, lambda i, j: alg.entries[i * n + j])
-    cov = alg.covariant
-    d_cov = tensor(n, 3, lambda i, j, k: alg.d(cov[i][j], k))
-    lower = tensor(n, 3, lambda i, j, k: alg.scale(alg.sum(
-        alg.mul(entries[i][s], alg.sum((
-            d_cov[s][k][j], d_cov[s][j][k], alg.scale(d_cov[j][k][s], -1))))
-        for s in range(n)
-    ), QQ(1, 2)))
-    raised = tensor(n, 3, lambda i, j, k: alg.scale(alg.sum(
-        alg.mul(entries[i][s], lower[j][s][k]) for s in range(n)
-    ), -1))
-    emit = alg.emit
-    g._connection = Connection(
-        alg.ctx,
-        tensor(n, 3, lambda i, j, k: emit(lower[i][j][k])),
-        tensor(n, 3, lambda i, j, k: emit(raised[i][j][k])),
-    )
+    n, ctx = g.n, g.ctx
+    entries, cov = g.leaves, g.covariant_leaves
+    fields = ctx.fields
+    d_cov = tensor(n, 3, lambda i, j, k: sc.diff(cov[i][j], fields[k]))
+    lower = tensor(n, 3, lambda i, j, k: (contract(ctx, n, lambda s: entries[i][s] * (
+        d_cov[s][k][j] + d_cov[s][j][k] - d_cov[j][k][s]
+    )) / 2).normalized())
+    raised = tensor(n, 3, lambda i, j, k: contract(
+        ctx, n, lambda s: -(entries[i][s] * lower[j][s][k])
+    ).normalized())
+    g._connection = Connection(ctx, lower, raised)
     return g._connection
 
 
 def riemann(g: Metric) -> CurvatureTensor:
-    """Curvature of the Levi-Civita connection; only k < l components are
-    computed, the rest follow by antisymmetry."""
+    """Curvature of the Levi-Civita connection, from its lowered entries;
+    only k < l components are computed, the rest by antisymmetry (_skew)."""
     if g._curvature is not None:
         return g._curvature
-    conn = levi_civita(g)
-    alg = g._algebra()
-    if alg is None:
-        g._curvature = _tree_curvature(g)
-        return g._curvature
-    n = g.n
-    gamma = tensor(n, 3, lambda i, j, k: conn.lower[i][j][k]._carried[1])
-    d_gamma = functools.lru_cache(maxsize=None)(
-        lambda i, j, k, m: alg.d(gamma[i][j][k], m))
-    mixed = tensor(n, 4, lambda i, j, k, l: alg.sum((
-        d_gamma(i, l, j, k), alg.scale(d_gamma(i, k, j, l), -1),
-        *(alg.mul(gamma[i][k][s], gamma[s][l][j]) for s in range(n)),
-        *(alg.scale(alg.mul(gamma[i][l][s], gamma[s][k][j]), -1) for s in range(n)),
-    )) if k < l else None)
-    entries = tensor(n, 2, lambda i, j: alg.entries[i * n + j])
-    g._curvature = CurvatureTensor(g, _emitted_skew(g.ctx, alg, mixed), lambda: _emitted_skew(
-        g.ctx, alg, tensor(n, 4, lambda i, j, k, l: alg.sum(
-            alg.mul(entries[i][s], mixed[j][s][k][l]) for s in range(n)
-        ) if k < l else None)))
-    return g._curvature
-
-
-def _emitted_skew(ctx: Context, alg: _Factored, values: tuple) -> tuple:
-    """The antisymmetric table of the values given for k < l, emitted."""
-    upper = tensor(len(values), 4, lambda i, j, k, l: (
-        alg.emit(values[i][j][k][l]) if k < l else None))
-    return _skew_tensor(
-        ctx, len(values), lambda i, j, k, l: upper[i][j][k][l],
-        lambda i, j, k, l: alg.emit(alg.scale(values[i][j][l][k], -1)),
-    )
-
-
-def _tree_connection(g: Metric) -> Connection:
-    """The connection on Expr trees, each kept entry normalized."""
-    n = g.n
-    ctx = g.ctx
-    cov = g.covariant
-    fields = ctx.fields
-    d_cov = tensor(n, 3, lambda i, j, k: sc.diff(cov[i][j], fields[k]))
-    lower = tensor(n, 3, lambda i, j, k: (contract(ctx, n, lambda s: g.entries[i][s] * (
-        d_cov[s][k][j] + d_cov[s][j][k] - d_cov[j][k][s]
-    )) / 2).normalized())
-    raised = tensor(n, 3, lambda i, j, k: contract(
-        ctx, n, lambda s: -(g.entries[i][s] * lower[j][s][k])
-    ).normalized())
-    return Connection(ctx, lower, raised)
-
-
-def _tree_curvature(g: Metric) -> CurvatureTensor:
-    """The curvature on Expr trees, each kept entry normalized."""
     gamma = levi_civita(g).lower
-    n = g.n
-    ctx = g.ctx
+    n, ctx = g.n, g.ctx
     fields = ctx.fields
     d_gamma = functools.lru_cache(maxsize=None)(
         lambda i, j, k, m: sc.diff(gamma[i][j][k], fields[m]))
@@ -700,15 +659,19 @@ def _tree_curvature(g: Metric) -> CurvatureTensor:
             gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
         ))
 
-    def skew(component: Callable[..., Expr]) -> tuple:
-        upper = tensor(n, 4, lambda i, j, k, l: (
-            component(i, j, k, l).normalized() if k < l else None))
-        return _skew_tensor(ctx, n, lambda i, j, k, l: upper[i][j][k][l],
-                            lambda i, j, k, l: (-upper[i][j][l][k]).normalized())
+    g._curvature = CurvatureTensor(g, _skew(ctx, n, component))
+    return g._curvature
 
-    curv = CurvatureTensor(g, skew(component), lambda: skew(
-        lambda i, j, k, l: curv.raised_component(g, i, j, k, l)))
-    return curv
+
+def _skew(ctx: Context, n: int, component: Callable[..., Expr]) -> tuple:
+    """The table antisymmetric in (k, l) whose k < l entries are
+    component(i, j, k, l), normalized."""
+    upper = tensor(n, 4, lambda i, j, k, l: (
+        component(i, j, k, l).normalized() if k < l else None))
+    return tensor(n, 4, lambda i, j, k, l: (
+        upper[i][j][k][l] if k < l
+        else (-upper[i][j][l][k]).normalized() if k > l else ctx.number(0)
+    ))
 
 
 def is_flat(g: Metric) -> bool:
@@ -741,9 +704,8 @@ def killing_defect(g: Metric, f: VectorField) -> tuple[int, int, Expr] | None:
     """First nonzero component of the Lie derivative of the contravariant
     metric along f: f^k d_k g^{ij} - g^{kj} d_k f^i - g^{ik} d_k f^j."""
     n = g.n
-    alg = g._algebra()
-    entries = tensor(n, 2, lambda i, j: carry(alg, g.entries[i][j]))
-    field = [carry(alg, c) for c in f.components]
+    entries = g.leaves
+    field = [carry(g._algebra(), c) for c in f.components]
     fields = g.ctx.fields
     return first_nonzero(
         ((i, j) for i, j in product(range(n), repeat=2) if i <= j),
@@ -767,9 +729,8 @@ def cyclic_defect(g: Metric, f: VectorField) -> tuple[int, int, int, Expr] | Non
     n = g.n
     ctx = g.ctx
     lower = levi_civita(g).lower
-    alg = g._algebra()
-    entries = tensor(n, 2, lambda i, j: carry(alg, g.entries[i][j]))
-    field = [carry(alg, c) for c in f.components]
+    entries = g.leaves
+    field = [carry(g._algebra(), c) for c in f.components]
     nabla_lower = tensor(n, 2, lambda s, k: sc.diff(field[k], ctx.fields[s]) + contract(
         ctx, n, lambda m: lower[k][s][m] * field[m]
     ))

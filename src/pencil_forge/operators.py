@@ -270,11 +270,8 @@ def validate_nonlocal(op: NonlocalIsometryOp) -> ValidationReport:
     ctx = op.ctx
     n = op.n
     if report.add("metric_symmetric", g.is_symmetric()):
-        alg = g._algebra()
-        entries = tensor(n, 2, lambda i, j: dg.carry(alg, g.entries[i][j]))
-        cov = g.covariant if alg is None else tensor(
-            n, 2, lambda i, j: alg.emit(alg.covariant[i][j]))
-        gamma = tensor(n, 3, lambda i, j, k: dg.carry(alg, op.gamma[i][j][k]))
+        entries, cov = g.leaves, g.covariant_leaves
+        gamma = tensor(n, 3, lambda i, j, k: dg.carry(g._algebra(), op.gamma[i][j][k]))
         # Gamma^j_{mk} = -g_{mi} Gamma^{ij}_k, in lowest terms
         lower = tensor(n, 3, lambda j, m, k: contract(
             ctx, n, lambda i: -(cov[m][i] * gamma[i][j][k])

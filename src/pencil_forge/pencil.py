@@ -105,7 +105,7 @@ def almost_compatible(g: Metric, gt: Metric) -> bool:
 def _almost(pencil: Pencil) -> bool:
     n = pencil.n
     alg = pencil.g._algebra()
-    g = dg.tensor(n, 2, lambda i, j: dg.carry(alg, pencil.g.entries[i][j]))
+    g = pencil.g.leaves
     conn_g = dg.levi_civita(pencil.g).raised
     gt = dg.tensor(n, 2, lambda i, j: dg.carry(alg, pencil.gt.entries[i][j]))
     raised_t = dg.levi_civita(pencil.gt).raised
@@ -149,7 +149,7 @@ def compatible(g: Metric, gt: Metric) -> bool:
         # flat, or the lambda-part gt^{is} R^j_{skl} of the raised pencil
         # curvature vanishes
         return curv.first_nonzero() is None or dg.first_nonzero(
-            indices, lambda i, j, k, l: curv.raised_component(pencil.gt, i, j, k, l)
+            indices, lambda i, j, k, l: curv.raised_component(pencil.gt.entries, i, j, k, l)
         ) is None
     curv_l = dg.riemann(pencil.combined).raised
     curv_g = dg.riemann(pencil.g).raised

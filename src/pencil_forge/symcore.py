@@ -40,11 +40,11 @@ carries a value of diffgeo's factored algebra decides is_zero on the
 value's numerator and exports its normal form only when something reads
 it.  A sum, difference or product of Exprs carrying values of one
 algebra, or of one such Expr and a rational constant, carries the value
-the algebra computes, and so does a negation; any other result carries
-nothing.  Square-free
-decomposition of radicands still goes through sympy.sqf_list, memoized
-per radicand.  The grammar, the normal form and the decision procedures
-here are self-contained.
+the algebra computes, and so do a negation and the quotient of such an
+Expr by a nonzero rational constant; any other result carries nothing.
+Square-free decomposition of radicands still goes through sympy.sqf_list,
+memoized per radicand.  The grammar, the normal form and the decision
+procedures here are self-contained.
 
 Differentiation builds no derivative tree and normalizes none.  diff and
 total_x_derivative are one derivation D of that ring, fixed by its value
@@ -911,7 +911,7 @@ class Expr:
     def __neg__(self):
         carried = self._carried
         return Expr(self.ctx, (operator.neg, self), carried=None if carried is None else (
-            carried[0], carried[0].scale(carried[1], -1)))
+            carried[0], (-carried[1][0], carried[1][1])))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -939,13 +939,15 @@ def _value_in(alg, e: Expr):
     carried = e._carried
     if carried is not None:
         return carried[1] if carried[0] is alg else None
-    return alg.scale(alg.one, e._raw) if isinstance(e._raw, sp.Rational) else None
+    if not isinstance(raw := e._raw, sp.Rational):
+        return None
+    return alg.scale(alg.one, raw) if raw else alg.zero
 
 
 # the value a sum, difference or product carries, from its operands' values
 _VALUES = {
     operator.add: lambda alg, x, y: alg.sum((x, y)),
-    operator.sub: lambda alg, x, y: alg.sum((x, alg.scale(y, -1))),
+    operator.sub: lambda alg, x, y: alg.sum((x, (-y[0], y[1]))),
     operator.mul: lambda alg, x, y: alg.mul(x, y),
 }
 
@@ -953,12 +955,16 @@ _VALUES = {
 def _combine(a: Expr, b: Expr, op) -> Expr:
     """a op b, its tree built on first read.  A sum, difference or product
     carries the value _VALUES gives where a and b have values in one
-    algebra (see _value_in)."""
+    algebra (see _value_in), and a quotient a / c the value of a scaled
+    by 1/c where c is a nonzero rational constant carrying nothing."""
     carried = None
     alg = (a._carried or b._carried or (None,))[0]
-    if op in _VALUES and alg is not None:
-        x, y = _value_in(alg, a), _value_in(alg, b)
-        if x is not None and y is not None:
+    if alg is not None and (x := _value_in(alg, a)) is not None:
+        if op is operator.truediv:
+            c = b._raw
+            if b._carried is None and isinstance(c, sp.Rational) and c:
+                carried = (alg, alg.scale(x, QQ(c.q, c.p)))
+        elif (y := _value_in(alg, b)) is not None:
             carried = (alg, _VALUES[op](alg, x, y))
     return Expr(_join(a.ctx, b.ctx), (op, a, b), carried=carried)
 

@@ -5,15 +5,18 @@ factors.
 Pinned here: every denominator the connection and the curvature reach is a
 product of basis factors; the algebra runs no GCD, nor do the connection
 checks of validate_nonlocal and the pencil torsion on g9; a symbol table or
-isometry outside the algebra takes the tree path with the same report; on
-random rational metrics, some with a square-root entry, the emitted entries
-carry the normal forms and canonical trees of the Expr formulas each entry
-was normalized from before (the tree path, forced by a metric whose
-factored algebra is switched off); and with random polynomial isometries
-validate_nonlocal and pair_check give the same reports on both paths.
-Also pinned: the rules by which Expr arithmetic carries a value, sc.diff
-of a carried value against the export path, and the derivatives the
-checks share.  The hypothesis seeds are fixed and the example counts
+isometry outside the algebra carries no value and gives the report the
+tree gives; on random rational metrics, some with a square-root entry, the
+entries of levi_civita and riemann have the normal forms and canonical
+trees of the same formulas run on uncarried leaves (the tree side, forced
+by a metric whose factored algebra is switched off, where each kept entry
+is normalized from its tree); and with random polynomial isometries
+validate_nonlocal and pair_check give the same reports on both sides.  A
+metric with a logarithm entry has no algebra and runs the formulas on its
+entries.  Also pinned: the rules by which Expr arithmetic carries a value,
+sc.diff of a carried value against the export path, the derivatives the
+checks share, and that they read the metric's leaves instead of lifting
+its entries again.  The hypothesis seeds are fixed and the example counts
 bounded."""
 
 import operator
@@ -209,12 +212,14 @@ def test_lifted_checks_export_nothing(monkeypatch):
 
 def test_checks_share_derivatives(monkeypatch):
     """validate_nonlocal and pair_check on g9 differentiate each distinct
-    value once per field: 36 top-level _Factored.d calls.  riemann's 8,
-    eta's connection 8, metric compatibility 6 (g^{12} = g^{21}), the
-    isometry's 4 in g9's algebra and eta's entries and isometry 8 in
-    eta's, and constant_curvature 2; Killing, the cyclic condition and
-    metric_killing reuse the derivatives metric compatibility and Killing
-    took."""
+    value once per field: 28 top-level _Factored.d calls.  In g9's
+    algebra: metric compatibility 6 (g^{12} = g^{21}), riemann's 8,
+    constant_curvature 2 and the isometry's 4 (Killing); in eta's: its
+    connection 4 (eta_{ij} holds the values 0 and 1) and the isometry's 4
+    (eta_killing).  g9's connection is built with the operator, before the
+    count.  The cyclic condition and metric_killing reuse the derivatives
+    metric compatibility and Killing took, and eta_killing reuses those of
+    eta's entries, which its connection took."""
     case = cat.builtin_case("g9")
     op, eta = case.operator(), case.eta()
     calls, depth = [], []
@@ -232,7 +237,30 @@ def test_checks_share_derivatives(monkeypatch):
     monkeypatch.setattr(dg._Factored, "d", counted)
     assert ops.validate_nonlocal(op).passed
     assert pc.pair_check(eta, op).passed
-    assert len(calls) == 36
+    assert len(calls) == 28
+
+
+def test_checks_read_the_metric_leaves(monkeypatch):
+    """Once g9's algebra is built, validate_nonlocal and pair_check lift
+    none of the metric's own entries again: they read Metric.leaves, which
+    carry the values the algebra holds.  The isometry and eta's entries
+    and symbols are still lifted (carry)."""
+    case = cat.builtin_case("g9")
+    op, eta = case.operator(), case.eta()
+    alg = op.metric._algebra()
+    own = {e.normal_form() for row in op.metric.entries for e in row}
+    lifted = []
+    from_form = dg._Factored._from_form
+
+    def recorded(self, form):
+        lifted.append((self, form))
+        return from_form(self, form)
+
+    monkeypatch.setattr(dg._Factored, "_from_form", recorded)
+    assert ops.validate_nonlocal(op).passed
+    assert pc.pair_check(eta, op).passed
+    assert lifted
+    assert [form for a, form in lifted if a is alg and form in own] == []
 
 
 def _carrying():
@@ -260,6 +288,23 @@ def test_arithmetic_carries_the_value(op):
     assert neg.normal_form() == _tree_form(neg)
 
 
+def test_division_by_a_rational_constant_carries_the_value():
+    """a / c, c a nonzero rational constant, carries a's value scaled by
+    1/c and builds no tree; a quotient by a carried Expr or by one that is
+    not a constant carries nothing."""
+    a, b, _ = _carrying()
+    half = a / 2
+    assert half._carried[0] is a._carried[0]
+    assert not isinstance(half._raw, sp.Basic) and a._raw is None
+    for c in (2, sp.Rational(-3, 4)):
+        e = a / c
+        assert e._carried[0] is a._carried[0]
+        assert e.normal_form() == sc._normalize(a.raw / c)
+    for e in (a / b, a / a.ctx.parse("u")):
+        assert e._carried is None
+        assert e.normal_form() == _tree_form(e)
+
+
 def test_arithmetic_without_a_shared_value_carries_none():
     """Another algebra, or an operand that carries nothing and is not a
     rational constant, gives no value; is_zero then normalizes the tree."""
@@ -282,6 +327,8 @@ def test_rational_constants_keep_the_value():
         assert e.normal_form() == _tree_form(e)
     assert sc.is_zero(dg.contract(ctx, 2, lambda s: (a, -a)[s]))
     assert (ctx.number(0) + a).raw == a.raw
+    alg = a._carried[0]
+    assert sc._value_in(alg, ctx.number(0)) is alg.zero
 
 
 @pytest.mark.parametrize("name", [c.name for c in cat.builtin_cases()])
@@ -314,6 +361,20 @@ def test_diff_outside_the_ring_falls_back():
         assert e._carried is not None
     top = sc.diff(e, "v")
     assert top._carried is None and sc.render(top) == "g11''''(v)"
+
+
+def test_metric_outside_the_algebra():
+    """[[ln(u), 1], [1, 0]] has no algebra (a logarithm entry): its
+    connection and curvature are the same formulas on its entries and
+    their adjugate trees."""
+    ctx = sc.Context(fields=("u", "v"))
+    P = ctx.parse
+    g = dg.Metric(ctx, [[P("ln(u)"), P("1")], [P("1"), P("0")]])
+    assert g._algebra() is None
+    assert [str(e) for e in _entries(dg.levi_civita(g).raised)] == [
+        "1/(2*u)", "0", "0", "-1/(2*u)", "0", "1/(2*u)", "0", "0"]
+    assert not dg.is_flat(g)
+    assert dg.constant_curvature(g) is None
 
 
 def test_lift_outside_the_algebra_is_none():
